@@ -59,17 +59,13 @@ def _out_dir(raw: dict, default: str) -> str:
     return out
 
 
-def _pop_scalar(raw: dict, key: str, default):
-    return raw.pop(key, default)
-
-
 def cmd_simulate(args, raw) -> int:
-    n = int(_pop_scalar(raw, "n", 2))
-    gamma = float(_pop_scalar(raw, "gamma", 0.0))
-    slope = int(_pop_scalar(raw, "slope", 3))
-    length = int(_pop_scalar(raw, "length", 10_000))
-    epsilon = float(_pop_scalar(raw, "epsilon", 0.0))
-    burn_in = int(_pop_scalar(raw, "burn_in", 1000))
+    n = int(raw.pop("n", 2))
+    gamma = float(raw.pop("gamma", 0.0))
+    slope = int(raw.pop("slope", 3))
+    length = int(raw.pop("length", 10_000))
+    epsilon = float(raw.pop("epsilon", 0.0))
+    burn_in = int(raw.pop("burn_in", 1000))
     seed = int(raw.pop("seed", 0))
     out = _out_dir(raw, "simulate_out")
     raw.pop("threads", None)

@@ -18,7 +18,7 @@ import numpy as np
 from . import density as density_mod
 from . import evt, observables, theory
 from .errors import CmlSyncError, ConfigError, DomainError
-from .lattice import LocalMap, MapSpec, NoiseSpec, simulate_ensemble
+from .lattice import LocalMap, MapSpec, NoiseSpec, simulate_ensemble, step
 
 _LAMBDA_WARN_GAMMA = 2.0 / 3.0
 
@@ -61,9 +61,17 @@ class ExperimentConfig:
             raise ConfigError("length must be >= 2 and realizations >= 1")
         if not 0.0 < self.quantile < 1.0:
             raise ConfigError("quantile must lie in (0, 1)")
-        if self.observable not in ("global_sync", "local_sync", "pair_sync",
-                                   "localization"):
+        if self.observable not in ("global_sync", "local_sync", "pair_sync"):
             raise ConfigError(f"unknown observable {self.observable!r}")
+        for name, values, key in (("gamma", self.gamma_values, _gamma_key),
+                                  ("epsilon", self.epsilons, _eps_key)):
+            seen = {}
+            for v in values:
+                if seen.setdefault(key(v), v) != v:
+                    raise ConfigError(
+                        f"{name} values {seen[key(v)]} and {v} share the seed "
+                        f"and file key {key(v)}; make them further apart"
+                    )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
@@ -145,6 +153,17 @@ def _run_points(config: ExperimentConfig, worker):
     return points, results
 
 
+def _collapsed(ensemble: np.ndarray, spec: MapSpec) -> np.ndarray:
+    """Per realization: is its final state a bitwise fixed point of the update?
+
+    Dyadic slopes shift bits out of a float until the orbit sits exactly on
+    a fixed point such as 0; its observable is then +inf at every step, and
+    no extremal-index estimate of it means anything.
+    """
+    final = ensemble[-1]
+    return np.all(step(final, spec) == final, axis=-1)
+
+
 def _ei_point(config: ExperimentConfig, point) -> list[dict]:
     n, gamma, eps = point
     spec = MapSpec(config.local_map, n, gamma)
@@ -161,6 +180,7 @@ def _ei_point(config: ExperimentConfig, point) -> list[dict]:
         theta_asym = theory.ei_sync_flat_asymptotic(n, gamma, config.lam)
     except CmlSyncError:
         theta_theory = theta_asym = None
+    collapsed = _collapsed(ensemble, spec)
     rows = []
     for r in range(config.realizations):
         traj = ensemble[:, r, :]
@@ -170,6 +190,10 @@ def _ei_point(config: ExperimentConfig, point) -> list[dict]:
             "theta_theory": theta_theory, "theta_asymptotic": theta_asym,
             "xi_gpd": None, "flag": "",
         }
+        if collapsed[r]:
+            row["flag"] = "collapsed"
+            rows.append(row)
+            continue
         flags = []
         try:
             series = observables.evaluate_series(traj, config.observable)
@@ -261,6 +285,7 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
             spec, config.realizations, config.length, seed,
             noise=NoiseSpec(eps), burn_in=config.burn_in,
         )
+        collapsed = _collapsed(ensemble, spec)
         rows = []
         for r in range(config.realizations):
             series = observables.evaluate_series(ensemble[:, r, :], config.observable)
@@ -270,11 +295,14 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
             row = {"n": n, "gamma": gamma, "epsilon": eps, "realization": r,
                    "xi": None, "mu": None, "sigma": None,
                    "dropped_blocks": dropped, "flag": ""}
-            try:
-                fit = evt.fit_gev_mle(maxima[np.isfinite(maxima)])
-                row.update(xi=fit.xi, mu=fit.mu, sigma=fit.sigma)
-            except CmlSyncError as exc:
-                row["flag"] = f"gev:{type(exc).__name__}"
+            if collapsed[r]:
+                row["flag"] = "collapsed"
+            else:
+                try:
+                    fit = evt.fit_gev_mle(maxima[np.isfinite(maxima)])
+                    row.update(xi=fit.xi, mu=fit.mu, sigma=fit.sigma)
+                except CmlSyncError as exc:
+                    row["flag"] = f"gev:{type(exc).__name__}"
             rows.append(row)
         return rows
 

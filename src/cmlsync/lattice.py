@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError
+from .errors import BoundaryError, DomainError, MemoryBudgetError
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,31 @@ class LocalMap:
     def _branch_index(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(np.asarray(self.boundaries)[1:-1], x, side="right")
 
-    def __call__(self, x):
-        """Evaluate T on a scalar or array with components in [0, 1)."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
-            raise DomainError("local map argument must lie in [0, 1)")
+    @cached_property
+    def _full_branch_slope(self) -> int | None:
+        """s when this map is `affine_mod1(s)`, else None."""
+        s = len(self.slopes)
+        if s < 2:
+            return None
+        full = LocalMap.affine_mod1(s)
+        same = (self.boundaries, self.slopes, self.intercepts) == (
+            full.boundaries, full.slopes, full.intercepts)
+        return s if same else None
+
+    def _unchecked(self, arr: np.ndarray) -> np.ndarray:
         idx = self._branch_index(arr)
         s = np.asarray(self.slopes)[idx]
         c = np.asarray(self.intercepts)[idx]
         y = np.mod(s * arr + c, 1.0)
         # mod can return 1.0 for values a hair below an integer
-        y = np.where(y >= 1.0, 0.0, y)
+        return np.where(y >= 1.0, 0.0, y)
+
+    def __call__(self, x):
+        """Evaluate T on a scalar or array with components in [0, 1)."""
+        arr = np.asarray(x, dtype=float)
+        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+            raise DomainError("local map argument must lie in [0, 1)")
+        y = self._unchecked(arr)
         return y if arr.ndim else float(y)
 
     def derivative(self, x):
@@ -149,25 +164,133 @@ def validate_state(state: np.ndarray, n: int) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != n:
         raise DomainError(f"state must have {n} components")
-    if np.any(state < 0.0) or np.any(state >= 1.0):
+    if not np.all((state >= 0.0) & (state < 1.0)):  # rejects NaN too
         raise DomainError("state components must lie in [0, 1)")
     return state
 
 
-def apply_local(local_map: LocalMap, x: float) -> float:
-    """T(x) for a single point."""
-    return local_map(x)
+_ONE = np.array(1.0)
+_MAX_ENSEMBLE_BYTES = 1_600_000_000  # the ~1.6 GB scale of density._MAX_CELLS
+_NOISE_BLOCK_STEPS = 256
+_NOISE_BLOCK_ELEMENTS = 1 << 16  # 512 kB of noise per draw at most
+
+
+def _lattice_update(spec: MapSpec, shape: tuple[int, ...]):
+    """The deterministic update as ``update(src, dst)``: dst = T_hat(src).
+
+    Works on arrays of ``shape`` (..., n) without checking them: src must
+    lie in [0, 1) and dst must not alias src.  A full-branch map
+    x -> s x mod 1 takes ``y = s x; y -= floor(y)``, which equals the branch
+    form ``mod(s x - i, 1)`` of `LocalMap.__call__` bit for bit, because
+    ``s x - i`` is exact; any other `LocalMap` takes the branch lookup.
+    """
+    lmap = spec.local_map
+    full_slope = lmap._full_branch_slope
+    # 0-d arrays: ufuncs take them faster than Python floats
+    slope = np.array(float(full_slope or 0))
+    keep, share = np.array(1.0 - spec.gamma), np.array(spec.gamma / spec.n)
+    coupled = spec.gamma != 0.0
+    scratch = np.empty(shape)
+    over = np.empty(shape, dtype=bool)
+
+    def update(src, dst):
+        if full_slope:
+            np.multiply(src, slope, out=dst)
+            np.floor(dst, out=scratch)
+            np.subtract(dst, scratch, out=dst)
+        else:
+            dst[...] = lmap._unchecked(src)
+        if not coupled:
+            return  # gamma = 0: the mix 1.0 * y + 0.0 is y, bit for bit
+        # np.add.reduce is the reduction np.sum(y, axis=-1, keepdims=True)
+        # runs, without its dispatch cost
+        total = np.add.reduce(dst, axis=-1, keepdims=True)
+        np.multiply(total, share, out=total)
+        np.multiply(dst, keep, out=dst)
+        np.add(dst, total, out=dst)
+        # convex combination; guard the rare round-up to 1.0
+        np.greater_equal(dst, _ONE, out=over)
+        np.subtract(dst, _ONE, out=dst, where=over)
+
+    return update
+
+
+def _kick(dst: np.ndarray, kick: np.ndarray) -> None:
+    """Add the noise kick eps * omega to dst in place, mod 1.
+
+    ``y - floor(y)`` rounds once, as ``np.mod(y, 1.0)`` does, to the same
+    value.  It gives 1.0 for a sum a hair below 0; that wraps to 0.
+    """
+    np.add(dst, kick, out=dst)
+    np.subtract(dst, np.floor(dst), out=dst)
+    np.copyto(dst, 0.0, where=dst >= _ONE)
+
+
+def _orbit(
+    spec: MapSpec,
+    x: np.ndarray,
+    length: int,
+    noise: NoiseSpec,
+    rng: np.random.Generator,
+    burn_in: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The lattice kernel behind every time loop of the package.
+
+    Returns the orbit of the (R, n) states ``x`` as a (length, R, n) array:
+    row 0 is the state ``burn_in`` steps after ``x``, row k the k-th state
+    after that.  The states are checked once here, and every step runs
+    unchecked.  Noise is drawn in blocks of steps with one
+    ``rng.uniform(-0.5, 0.5, size=(block, R, n))`` call, which consumes the
+    stream exactly as one draw per step would, and no further than the last
+    step taken.  ``out`` receives the orbit when given (a reused buffer);
+    otherwise it is allocated here, within `_MAX_ENSEMBLE_BYTES`.
+    """
+    x = validate_state(x, spec.n)
+    if length < 1 or burn_in < 0:
+        raise DomainError("need length >= 1 and burn-in >= 0")
+    realizations, n = x.shape
+    if out is None:
+        need = length * realizations * n * 8
+        if need > _MAX_ENSEMBLE_BYTES:
+            raise MemoryBudgetError(
+                f"ensemble of {length} x {realizations} x {n} states needs "
+                f"{need / 1e9:.2f} GB, over the "
+                f"{_MAX_ENSEMBLE_BYTES / 1e9:.1f} GB budget"
+            )
+        out = np.empty((length, realizations, n))
+    update = _lattice_update(spec, x.shape)
+    eps = noise.epsilon
+    block = max(1, min(_NOISE_BLOCK_STEPS, _NOISE_BLOCK_ELEMENTS // x.size))
+    work = np.empty((2, realizations, n))  # burn-in states, alternating
+    prev = work[0]
+    prev[...] = x
+    if burn_in == 0:
+        out[0] = prev
+    steps = burn_in + length - 1
+    done = 0
+    while done < steps:
+        todo = min(block, steps - done)
+        if eps != 0.0:
+            kicks = rng.uniform(-0.5, 0.5, size=(todo, realizations, n))
+            np.multiply(kicks, eps, out=kicks)
+        for j in range(todo):
+            t = done + j + 1  # the step that produces this state
+            dst = out[t - burn_in] if t >= burn_in else work[t & 1]
+            update(prev, dst)
+            if eps != 0.0:
+                _kick(dst, kicks[j])
+            prev = dst
+        done += todo
+    return out
 
 
 def step(state: np.ndarray, spec: MapSpec) -> np.ndarray:
     """One deterministic lattice update.  Works on (..., n) arrays."""
     state = validate_state(state, spec.n)
-    y = spec.local_map(state)
-    out = (1.0 - spec.gamma) * y + (spec.gamma / spec.n) * np.sum(
-        y, axis=-1, keepdims=True
-    )
-    # convex combination; guard the rare round-up to 1.0
-    return np.where(out >= 1.0, out - 1.0, out)
+    out = np.empty_like(state)
+    _lattice_update(spec, state.shape)(state, out)
+    return out
 
 
 def step_noisy(
@@ -180,12 +303,10 @@ def step_noisy(
 
     eps = 0 reproduces `step` exactly and consumes no random numbers.
     """
-    det = step(state, spec)
-    if noise.epsilon == 0.0:
-        return det
-    omega = rng.uniform(-0.5, 0.5, size=det.shape)
-    out = np.mod(det + noise.epsilon * omega, 1.0)
-    return np.where(out >= 1.0, 0.0, out)
+    out = step(state, spec)
+    if noise.epsilon != 0.0:
+        _kick(out, noise.epsilon * rng.uniform(-0.5, 0.5, size=out.shape))
+    return out
 
 
 def jacobian_det(state: np.ndarray, spec: MapSpec) -> float:
@@ -233,17 +354,12 @@ def simulate(config: TrajectoryConfig) -> np.ndarray:
     spec = config.map_spec
     rng = _rng_for(config.seed)
     if config.initial_state is not None:
-        state = np.asarray(config.initial_state, dtype=float).copy()
+        state = np.asarray(config.initial_state, dtype=float)
     else:
         state = rng.uniform(0.0, 1.0, size=spec.n)
-    out = np.empty((config.length, spec.n))
-    for _ in range(config.burn_in):
-        state = step_noisy(state, spec, config.noise, rng)
-    out[0] = state
-    for k in range(1, config.length):
-        state = step_noisy(state, spec, config.noise, rng)
-        out[k] = state
-    return out
+    orbit = _orbit(spec, state.reshape(1, spec.n), config.length,
+                   config.noise, rng, config.burn_in)
+    return orbit.reshape(config.length, spec.n)
 
 
 def simulate_ensemble(
@@ -263,14 +379,7 @@ def simulate_ensemble(
     """
     rng = _rng_for(seed)
     states = rng.uniform(0.0, 1.0, size=(realizations, spec.n))
-    for _ in range(burn_in):
-        states = step_noisy(states, spec, noise, rng)
-    out = np.empty((length, realizations, spec.n))
-    out[0] = states
-    for k in range(1, length):
-        states = step_noisy(states, spec, noise, rng)
-        out[k] = states
-    return out
+    return _orbit(spec, states, length, noise, rng, burn_in)
 
 
 def export_trajectory_csv(trajectory: np.ndarray, path) -> None:

@@ -60,6 +60,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"n_values": [2], "bogus": 1})
 
+    def test_seed_key_collisions_rejected(self):
+        # 0.30001 and 0.30004 both round to the gamma key 3000
+        with pytest.raises(ConfigError, match="3000"):
+            ExperimentConfig(gamma_values=(0.30001, 0.30004))
+        with pytest.raises(ConfigError):
+            ExperimentConfig(epsilons=(0.0, 1e-9))
+        ExperimentConfig(gamma_values=(0.3, 0.3001), epsilons=(0.0, 1e-8))
+
     def test_warning_above_hypothesis_bound(self):
         cfg = small_config(gamma_values=(0.1, 0.8))
         assert any("0.8" in w for w in cfg.warnings())
@@ -109,6 +117,34 @@ class TestEiSweep:
         assert float(rows[0]["theta_suveges"]) == pytest.approx(
             result.rows[0]["theta_suveges"]
         )
+
+
+class TestFloatCollapse:
+    """Slope 2 at gamma = 0 shifts every orbit onto the float fixed point 0."""
+
+    def test_ei_rows_flagged_without_estimates(self):
+        result = run_ei_sweep(small_config(slope=2, gamma_values=(0.0,),
+                                           burn_in=0))
+        assert len(result.rows) == 3
+        for row in result.rows:
+            assert row["flag"] == "collapsed"
+            assert row["theta_suveges"] is None
+            assert row["theta_qk"] is None
+            assert row["xi_gpd"] is None
+        mean = result.aggregates[0]
+        assert mean["theta_suveges"] is None and mean["xi_gpd"] is None
+
+    def test_gev_rows_flagged_without_estimates(self):
+        result = run_gev_sweep(small_config(slope=2, gamma_values=(0.0,),
+                                            burn_in=0, length=4000))
+        for row in result.rows:
+            assert row["flag"] == "collapsed"
+            assert row["xi"] is None and row["sigma"] is None
+
+    def test_slope_three_never_flagged(self):
+        result = run_ei_sweep(small_config(gamma_values=(0.0, 0.5)))
+        assert not any("collapsed" in row["flag"] for row in result.rows)
+        assert all(row["theta_suveges"] is not None for row in result.rows)
 
 
 class TestGevSweep:
@@ -235,6 +271,16 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["ei-sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_localization_is_config_error(self, tmp_path, capsys):
+        # no config key can supply the target state localization needs
+        cfg = tmp_path / "loc.json"
+        cfg.write_text(json.dumps({"observable": "localization",
+                                   "n_values": [2], "length": 500}))
+        code = main(["ei-sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["ei-sweep", "--config", str(tmp_path / "nope.json")]) \

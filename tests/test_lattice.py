@@ -1,14 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlsync.errors import BoundaryError, DomainError
+from cmlsync import density
+from cmlsync.density import estimate_density
+from cmlsync.errors import BoundaryError, DomainError, MemoryBudgetError
 from cmlsync.lattice import (
+    _NOISE_BLOCK_STEPS,
     LocalMap,
     MapSpec,
     NoiseSpec,
     TrajectoryConfig,
+    _orbit,
+    _rng_for,
     coupling_det,
     coupling_matrix,
     export_trajectory_csv,
@@ -66,6 +73,8 @@ class TestStep:
     def test_rejects_out_of_range_state(self, spec2):
         with pytest.raises(DomainError):
             step(np.array([0.5, 1.0]), spec2)
+        with pytest.raises(DomainError):
+            step(np.array([0.5, np.nan]), spec2)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -170,3 +179,199 @@ class TestMapSpec:
     def test_ei_hypothesis_flag(self, tripling):
         assert MapSpec(tripling, 2, 0.5).ei_hypothesis_ok
         assert not MapSpec(tripling, 2, 0.7).ei_hypothesis_ok
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: a plain per-step loop over LocalMap.__call__ with the
+# mix and the noise written out.  The lattice kernel must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_step(state, spec):
+    y = spec.local_map(state)
+    out = (1.0 - spec.gamma) * y + (spec.gamma / spec.n) * np.sum(
+        y, axis=-1, keepdims=True
+    )
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
+def ref_step_noisy(state, spec, noise, rng):
+    det = ref_step(state, spec)
+    if noise.epsilon == 0.0:
+        return det
+    omega = rng.uniform(-0.5, 0.5, size=det.shape)
+    out = np.mod(det + noise.epsilon * omega, 1.0)
+    return np.where(out >= 1.0, 0.0, out)
+
+
+def ref_orbit(spec, states, length, noise, rng, burn_in):
+    for _ in range(burn_in):
+        states = ref_step_noisy(states, spec, noise, rng)
+    out = np.empty((length,) + states.shape)
+    out[0] = states
+    for k in range(1, length):
+        states = ref_step_noisy(states, spec, noise, rng)
+        out[k] = states
+    return out
+
+
+def ref_density(spec, realizations, iterations, bins, seed, noise, burn_in):
+    rng = _rng_for(seed)
+    states = rng.uniform(0.0, 1.0, size=(realizations, spec.n))
+    for _ in range(burn_in):
+        states = ref_step_noisy(states, spec, noise, rng)
+    counts = np.zeros(bins**spec.n, dtype=np.int64)
+    strides = bins ** np.arange(spec.n - 1, -1, -1)
+    for _ in range(iterations):
+        idx = np.minimum((states * bins).astype(np.int64), bins - 1)
+        np.add.at(counts, idx @ strides, 1)
+        states = ref_step_noisy(states, spec, noise, rng)
+    return counts.reshape((bins,) * spec.n)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# A piecewise-affine map that is not full-branch: the kernel's branch lookup.
+UNEVEN = LocalMap((0.0, 0.4, 1.0), (2.5, 4.0), (0.0, 0.3), 0.4)
+
+slopes = st.integers(2, 9)
+sizes = st.integers(2, 23)
+gammas = st.floats(0.0, 0.95, exclude_max=True)
+epsilons = st.sampled_from([0.0, 1e-4, 1e-2])
+burn_ins = st.sampled_from([0, 1, 7, 99, _NOISE_BLOCK_STEPS - 1])
+lengths = st.sampled_from([1, 2, 41, _NOISE_BLOCK_STEPS - 1, _NOISE_BLOCK_STEPS,
+                           _NOISE_BLOCK_STEPS + 1, 2 * _NOISE_BLOCK_STEPS + 3])
+
+
+def boundary_values(local_map: LocalMap) -> list[float]:
+    """Every branch boundary in [0, 1) and its two float neighbours."""
+    vals = {np.nextafter(1.0, 0.0)}
+    for b in local_map.boundaries[:-1]:
+        vals.update((b, np.nextafter(b, 0.0), np.nextafter(b, 1.0)))
+    return sorted(v for v in vals if 0.0 <= v < 1.0)
+
+
+class TestKernelOracle:
+    def test_full_branch_detection(self):
+        assert LocalMap.affine_mod1(5)._full_branch_slope == 5
+        assert UNEVEN._full_branch_slope is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(slopes, sizes, gammas, epsilons, st.integers(1, 4), lengths,
+           burn_ins, st.integers(0, 2**32))
+    def test_simulate_ensemble(self, slope, n, gamma, eps, r, length, burn_in,
+                               seed):
+        spec = MapSpec(LocalMap.affine_mod1(slope), n, gamma)
+        rng = _rng_for(seed)
+        expect = ref_orbit(spec, rng.uniform(0.0, 1.0, size=(r, n)), length,
+                           NoiseSpec(eps), rng, burn_in)
+        got = simulate_ensemble(spec, r, length, seed, NoiseSpec(eps), burn_in)
+        assert same_bits(got, expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(slopes, sizes, gammas, epsilons, lengths, burn_ins,
+           st.integers(0, 2**32))
+    def test_simulate(self, slope, n, gamma, eps, length, burn_in, seed):
+        spec = MapSpec(LocalMap.affine_mod1(slope), n, gamma)
+        rng = _rng_for(seed)
+        expect = ref_orbit(spec, rng.uniform(0.0, 1.0, size=n), length,
+                           NoiseSpec(eps), rng, burn_in)
+        got = simulate(TrajectoryConfig(spec, length, NoiseSpec(eps),
+                                        burn_in=burn_in, seed=seed))
+        assert same_bits(got, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(slopes.map(LocalMap.affine_mod1), st.just(UNEVEN)),
+           sizes, gammas, st.data())
+    def test_step_at_branch_boundaries(self, local_map, n, gamma, data):
+        spec = MapSpec(local_map, n, gamma)
+        vals = boundary_values(local_map)
+        x = np.array(data.draw(st.lists(st.sampled_from(vals), min_size=3 * n,
+                                        max_size=3 * n))).reshape(3, n)
+        assert same_bits(step(x, spec), ref_step(x, spec))
+        assert same_bits(step(x[0], spec), ref_step(x[0], spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(slopes.map(LocalMap.affine_mod1), st.just(UNEVEN)),
+           sizes, gammas, epsilons, st.data())
+    def test_orbit_from_branch_boundaries(self, local_map, n, gamma, eps, data):
+        spec = MapSpec(local_map, n, gamma)
+        vals = boundary_values(local_map)
+        x0 = np.array(data.draw(st.lists(st.sampled_from(vals), min_size=n,
+                                         max_size=n)))
+        expect = ref_orbit(spec, x0, 60, NoiseSpec(eps), _rng_for(3), 0)
+        got = simulate(TrajectoryConfig(spec, 60, NoiseSpec(eps),
+                                        initial_state=x0, seed=3))
+        assert same_bits(got, expect)
+
+    def test_step_on_every_boundary_grid(self):
+        for slope in range(2, 10):
+            local_map = LocalMap.affine_mod1(slope)
+            vals = np.array(boundary_values(local_map))
+            x = np.stack(np.meshgrid(vals, vals), axis=-1).reshape(-1, 2)
+            for gamma in (0.0, 0.3, 0.9):
+                spec = MapSpec(local_map, 2, gamma)
+                assert same_bits(step(x, spec), ref_step(x, spec))
+
+    def test_mix_round_up_guard(self):
+        # Diagonal states just below a boundary map to 1 - 2^-53 at every
+        # site; for some gamma the mix then rounds up to exactly 1.0.
+        fired = 0
+        for slope in range(2, 10):
+            local_map = LocalMap.affine_mod1(slope)
+            below = [np.nextafter(b, 0.0) for b in local_map.boundaries[1:]]
+            for n in (2, 3, 5):
+                x = np.repeat(np.array(below)[:, None], n, axis=1)
+                for gamma in np.linspace(0.0, 0.95, 400):
+                    spec = MapSpec(local_map, n, gamma)
+                    y = local_map(x)
+                    mix = (1.0 - gamma) * y + (gamma / n) * y.sum(-1, keepdims=True)
+                    fired += int(np.any(mix >= 1.0))
+                    got = step(x, spec)
+                    assert same_bits(got, ref_step(x, spec))
+                    assert np.all((got >= 0.0) & (got < 1.0))
+        assert fired > 0
+
+    def test_noise_wrap_guard(self, spec2):
+        # A kick of -1e-300 on a state at 0 gives mod(-1e-300, 1) == 1.0.
+        class TinyKicks:
+            def uniform(self, low, high, size):
+                return np.full(size, -1e-300 / 1e-2)
+
+        x = np.zeros((2, 2))
+        noise = NoiseSpec(1e-2)
+        got = step_noisy(x, spec2, noise, TinyKicks())
+        assert same_bits(got, ref_step_noisy(x, spec2, noise, TinyKicks()))
+        assert np.all(got == 0.0)
+        orbit = _orbit(spec2, x, 5, noise, TinyKicks(), burn_in=2)
+        assert same_bits(orbit, ref_orbit(spec2, x, 5, noise, TinyKicks(), 2))
+        assert np.all(orbit == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 9), st.sampled_from([2, 3]), gammas, epsilons,
+           st.integers(1, 5), st.integers(1, 90), burn_ins,
+           st.sampled_from([4, 64, 1 << 18]), st.integers(0, 2**32))
+    def test_estimate_density(self, slope, n, gamma, eps, r, iterations,
+                              burn_in, chunk_elements, seed):
+        spec = MapSpec(LocalMap.affine_mod1(slope), n, gamma)
+        expect = ref_density(spec, r, iterations, 7, seed, NoiseSpec(eps),
+                             burn_in)
+        # small chunks make the histogram loop resume the orbit many times
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_CHUNK_ELEMENTS", chunk_elements)
+            got = estimate_density(spec, r, iterations, 7, seed,
+                                   NoiseSpec(eps), burn_in)
+        assert np.array_equal(got.counts, expect)
+
+    def test_ensemble_budget_raises_before_allocating(self, spec2):
+        # 1000 realizations x 10^6 steps x 2 sites: 16 GB of states
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                simulate_ensemble(spec2, 1000, 10**6, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
