@@ -189,18 +189,8 @@ def cmd_theory(args, raw) -> int:
     raw.pop("out_dir", None)
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    local_map = LocalMap.affine_mod1(slope)
-    lam = 1.0 / slope
-    rows = []
-    for n in n_values:
-        for g in gamma_values:
-            inputs = theory.TheoryInputs(n=n, gamma=g, lam=lam)
-            rows.append((
-                n, g,
-                theory.ei_sync_formula(inputs, local_map),
-                theory.ei_sync_flat_asymptotic(n, g, lam),
-                theory.ei_upper_bound_q0(n, g, lam, 1.0, 1.0)[0],
-            ))
+    rows = theory.theory_table(n_values, gamma_values,
+                               LocalMap.affine_mod1(slope))
     path = os.path.join(out, "theory.csv")
     theory.export_theory_sweep_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")

@@ -3,21 +3,22 @@ cluster statistics, and the compound Poisson visit-count law.
 
 The extremal index theta in (0, 1] corrects the exponential law for
 clustering of exceedances; 1/theta is the mean cluster size.  Two empirical
-estimators are provided: the Sueveges closed-form maximum-likelihood
-estimator on inter-exceedance times, and a direct return-time estimator that
-measures the first-return distribution to the diagonal strip.
+estimators are provided, both reading one exceedance indicator: the Sueveges
+closed-form maximum-likelihood estimator on inter-exceedance times, and a
+direct return-time estimator that measures the first-return distribution to
+the exceedance set.
 """
 from __future__ import annotations
 
-import json
-import math
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, logsumexp
 
+from . import observables
 from .errors import (
     DegenerateSeriesError,
     DomainError,
@@ -346,32 +347,30 @@ def export_epdf_csv(epdf: dict[int, float], path) -> None:
 
 def strip_indicator(trajectory: np.ndarray, accuracy: float) -> np.ndarray:
     """True where the state lies in the diagonal strip of half-width accuracy."""
-    trajectory = np.asarray(trajectory, dtype=float)
-    spread = np.max(trajectory, axis=-1) - np.min(trajectory, axis=-1)
-    return spread <= accuracy
+    return observables.OBSERVABLES["global_sync"].gap(trajectory) <= accuracy
 
 
 def qk_return_estimator(
-    trajectory: np.ndarray,
-    accuracy: float,
+    indicator: np.ndarray,
     k_max: int = 50,
     min_visits: int = 100,
 ) -> tuple[np.ndarray, EiEstimate]:
-    """Empirical first-return distribution to the diagonal strip.
+    """Empirical first-return distribution to the set ``indicator`` marks
+    (the sweep's ``series > u``, or `strip_indicator`'s diagonal strip).
 
-    q_k is the fraction of strip visits whose first return to the strip takes
-    exactly k+1 steps; theta = 1 - sum_k q_k.  Visits too close to the end of
-    the trajectory to observe a k_max-step window are discarded.  The mass of
-    visits with no return within k_max steps is reported as
-    ``truncation_tail`` (it is part of theta by construction).
+    q_k is the fraction of visits whose first return takes exactly k+1
+    steps; theta = 1 - sum_k q_k.  Visits too close to the end of the series
+    to observe a k_max-step window are discarded.  The mass of visits with no
+    return within k_max steps is reported as ``truncation_tail`` (it is part
+    of theta by construction).
     """
-    ind = strip_indicator(trajectory, accuracy)
+    ind = np.asarray(indicator, dtype=bool)
     positions = np.flatnonzero(ind)
     # a visit needs k_max + 1 subsequent steps for its window to be observable
     usable = positions[positions + k_max + 1 <= ind.size - 1]
     if usable.size < min_visits:
         raise InsufficientVisitsError(int(usable.size), min_visits)
-    # first return time for each usable visit = gap to the next strip index
+    # first return time for each usable visit = gap to the next visit
     idx = np.searchsorted(positions, usable, side="right")
     has_next = idx < positions.size
     gaps = np.full(usable.size, np.iinfo(np.int64).max, dtype=np.int64)
@@ -387,7 +386,6 @@ def qk_return_estimator(
         theta,
         "return_time_qk",
         metadata={
-            "accuracy": accuracy,
             "k_max": k_max,
             "visits": int(usable.size),
             "truncation_tail": tail,
@@ -468,11 +466,3 @@ def count_visits(
             f"horizon {horizon} exceeds trajectory length {ind.size}"
         )
     return int(np.count_nonzero(ind[1 : horizon + 1]))
-
-
-def export_ei_json(estimates, path) -> None:
-    """Serialize a list of EiEstimate / EvtFitResult records to JSON."""
-    records = [e.to_json_dict() for e in estimates]
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -55,14 +55,15 @@ class ExperimentConfig:
             raise ConfigError("lattice sizes must be >= 2")
         if any(not 0.0 <= g < 1.0 for g in self.gamma_values):
             raise ConfigError("gamma values must lie in [0, 1)")
-        if any(e < 0.0 for e in self.epsilons):
-            raise ConfigError("noise levels must be >= 0")
+        if any(not 0.0 <= e < math.inf for e in self.epsilons):
+            raise ConfigError("noise levels must be finite and >= 0")
         if self.length < 2 or self.realizations < 1:
             raise ConfigError("length must be >= 2 and realizations >= 1")
         if not 0.0 < self.quantile < 1.0:
             raise ConfigError("quantile must lie in (0, 1)")
-        if self.observable not in ("global_sync", "local_sync", "pair_sync"):
-            raise ConfigError(f"unknown observable {self.observable!r}")
+        if self.observable not in observables.OBSERVABLES:
+            raise ConfigError(f"unknown observable {self.observable!r}; "
+                              f"expected one of {sorted(observables.OBSERVABLES)}")
         for name, values, key in (("gamma", self.gamma_values, _gamma_key),
                                   ("epsilon", self.epsilons, _eps_key)):
             seen = {}
@@ -78,10 +79,6 @@ class ExperimentConfig:
     @property
     def local_map(self) -> LocalMap:
         return LocalMap.affine_mod1(self.slope)
-
-    @property
-    def lam(self) -> float:
-        return 1.0 / self.slope
 
     def warnings(self) -> list[str]:
         out = []
@@ -143,6 +140,22 @@ def _grid(config: ExperimentConfig):
                 yield n, gamma, eps
 
 
+def _point_ensemble(config: ExperimentConfig, n: int, gamma: float, eps,
+                    *tag: int, realizations: int | None = None,
+                    length: int | None = None):
+    """(spec, ensemble) of one grid point from the stream keyed by (seed, n,
+    gamma key, eps key, *tag); ``eps=None`` drops the eps key and the noise,
+    as the compound-Poisson streams always have."""
+    eps_key = () if eps is None else (_eps_key(eps),)
+    seed = _point_seed(config.seed, n, _gamma_key(gamma), *eps_key, *tag)
+    spec = MapSpec(config.local_map, n, gamma)
+    ensemble = simulate_ensemble(
+        spec, realizations or config.realizations, length or config.length,
+        seed, noise=NoiseSpec(eps or 0.0), burn_in=config.burn_in,
+    )
+    return spec, ensemble
+
+
 def _run_points(config: ExperimentConfig, worker):
     points = list(_grid(config))
     if config.threads > 1:
@@ -166,18 +179,10 @@ def _collapsed(ensemble: np.ndarray, spec: MapSpec) -> np.ndarray:
 
 def _ei_point(config: ExperimentConfig, point) -> list[dict]:
     n, gamma, eps = point
-    spec = MapSpec(config.local_map, n, gamma)
-    seed = _point_seed(config.seed, n, _gamma_key(gamma), _eps_key(eps))
-    ensemble = simulate_ensemble(
-        spec, config.realizations, config.length, seed,
-        noise=NoiseSpec(eps), burn_in=config.burn_in,
-    )
+    spec, ensemble = _point_ensemble(config, n, gamma, eps)
     try:
-        theta_theory = theory.ei_sync_formula(
-            theory.TheoryInputs(n=n, gamma=gamma, lam=config.lam),
-            config.local_map,
-        )
-        theta_asym = theory.ei_sync_flat_asymptotic(n, gamma, config.lam)
+        theta_theory, theta_asym = observables.OBSERVABLES[
+            config.observable].closed_form_ei(n, gamma, config.local_map)
     except CmlSyncError:
         theta_theory = theta_asym = None
     collapsed = _collapsed(ensemble, spec)
@@ -205,8 +210,7 @@ def _ei_point(config: ExperimentConfig, point) -> list[dict]:
             series = None
         if series is not None:
             try:
-                accuracy = observables.sync_accuracy_from_threshold(u)
-                row["theta_qk"] = evt.qk_return_estimator(traj, accuracy)[1].theta
+                row["theta_qk"] = evt.qk_return_estimator(ind)[1].theta
             except CmlSyncError as exc:
                 flags.append(f"qk:{type(exc).__name__}")
             try:
@@ -279,12 +283,7 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
 
     def worker(point):
         n, gamma, eps = point
-        spec = MapSpec(config.local_map, n, gamma)
-        seed = _point_seed(config.seed, n, _gamma_key(gamma), _eps_key(eps), 1)
-        ensemble = simulate_ensemble(
-            spec, config.realizations, config.length, seed,
-            noise=NoiseSpec(eps), burn_in=config.burn_in,
-        )
+        spec, ensemble = _point_ensemble(config, n, gamma, eps, 1)
         collapsed = _collapsed(ensemble, spec)
         rows = []
         for r in range(config.realizations):
@@ -334,12 +333,7 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
     os.makedirs(out_dir, exist_ok=True)
     summaries = []
     for n, gamma, eps in _grid(config):
-        spec = MapSpec(config.local_map, n, gamma)
-        seed = _point_seed(config.seed, n, _gamma_key(gamma), _eps_key(eps), 2)
-        ensemble = simulate_ensemble(
-            spec, 1, config.length, seed,
-            noise=NoiseSpec(eps), burn_in=config.burn_in,
-        )
+        _, ensemble = _point_ensemble(config, n, gamma, eps, 2, realizations=1)
         series = observables.evaluate_series(ensemble[:, 0, :], config.observable)
         u = observables.threshold_from_quantile(series, config.quantile)
         ind = observables.exceedance_indicator(series, u)
@@ -399,13 +393,8 @@ def run_compound_poisson_check(
     for n, gamma, eps in _grid(config):
         if eps != 0.0:
             raise ConfigError("compound-Poisson check is a deterministic protocol")
-        spec = MapSpec(config.local_map, n, gamma)
-        seed = _point_seed(config.seed, n, _gamma_key(gamma), 3)
-        ensemble = simulate_ensemble(
-            spec, 1, config.length, seed, burn_in=config.burn_in,
-        )
-        traj = ensemble[:, 0, :]
-        ind = evt.strip_indicator(traj, accuracy)
+        _, ensemble = _point_ensemble(config, n, gamma, None, 3, realizations=1)
+        ind = evt.strip_indicator(ensemble[:, 0, :], accuracy)
         mu_strip = float(np.mean(ind))
         if mu_strip == 0.0:
             raise DomainError(
@@ -413,13 +402,10 @@ def run_compound_poisson_check(
             )
         theta_hat = evt.suveges_ei(ind, 1.0 - mu_strip).theta
         horizon = int(t / mu_strip)
-        window_seed = _point_seed(config.seed, n, _gamma_key(gamma), 4)
-        windows = simulate_ensemble(
-            spec, ensemble_size, horizon + 1, window_seed,
-            burn_in=config.burn_in,
-        )
-        gaps = np.max(windows, axis=-1) - np.min(windows, axis=-1)
-        counts = np.sum(gaps[1:, :] <= accuracy, axis=0)
+        _, windows = _point_ensemble(config, n, gamma, None, 4,
+                                     realizations=ensemble_size,
+                                     length=horizon + 1)
+        counts = np.sum(evt.strip_indicator(windows[1:], accuracy), axis=0)
         hist = np.bincount(counts) / counts.size
         p_hat = 1.0 - theta_hat
         tv_compound = _tv_distance(
@@ -558,15 +544,8 @@ def reproduce(figure_id: str, out_dir: str, seed: int = 0,
             outputs.append(name)
         if figure_id == "CLM_t":
             name = "CLM_t_asymptotic.csv"
-            rows = [
-                (n, g,
-                 theory.ei_sync_formula(
-                     theory.TheoryInputs(n=n, gamma=g, lam=config.lam),
-                     config.local_map),
-                 theory.ei_sync_flat_asymptotic(n, g, config.lam),
-                 theory.ei_upper_bound_q0(n, g, config.lam, 1.0, 1.0)[0])
-                for n in config.n_values for g in config.gamma_values
-            ]
+            rows = theory.theory_table(config.n_values, config.gamma_values,
+                                       config.local_map)
             theory.export_theory_sweep_csv(rows, os.path.join(out_dir, name))
             outputs.append(name)
     elif figure_id == "CLM_csi":

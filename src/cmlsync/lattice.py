@@ -84,17 +84,13 @@ class LocalMap:
 
     def __call__(self, x):
         """Evaluate T on a scalar or array with components in [0, 1)."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
-            raise DomainError("local map argument must lie in [0, 1)")
+        arr = _check_unit(np.asarray(x, dtype=float), "local map argument")
         y = self._unchecked(arr)
         return y if arr.ndim else float(y)
 
     def derivative(self, x):
         """T'(x) with the right-closed branch convention."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
-            raise DomainError("local map argument must lie in [0, 1)")
+        arr = _check_unit(np.asarray(x, dtype=float), "local map argument")
         d = np.asarray(self.slopes)[self._branch_index(arr)]
         return d if arr.ndim else float(d)
 
@@ -132,8 +128,8 @@ class NoiseSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise DomainError("noise intensity must be >= 0")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise DomainError("noise intensity must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,17 +152,20 @@ class TrajectoryConfig:
             init = np.asarray(self.initial_state, dtype=float)
             if init.shape != (self.map_spec.n,):
                 raise DomainError("initial state must have n components")
-            if np.any(init < 0.0) or np.any(init >= 1.0):
-                raise DomainError("initial state components must lie in [0, 1)")
+            _check_unit(init, "initial state components")
+
+
+def _check_unit(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all((arr >= 0.0) & (arr < 1.0)):  # rejects NaN too
+        raise DomainError(f"{what} must lie in [0, 1)")
+    return arr
 
 
 def validate_state(state: np.ndarray, n: int) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != n:
         raise DomainError(f"state must have {n} components")
-    if not np.all((state >= 0.0) & (state < 1.0)):  # rejects NaN too
-        raise DomainError("state components must lie in [0, 1)")
-    return state
+    return _check_unit(state, "state components")
 
 
 _ONE = np.array(1.0)

@@ -1,6 +1,6 @@
 """Scalar observables along lattice trajectories.
 
-Four observables of a lattice state, each of the form -log(gap) so that large
+Five observables of a lattice state, each of the form -log(gap) so that large
 values mean the state is close to a distinguished set:
 
 * localization: gap = l1 distance to a fixed target configuration
@@ -11,14 +11,17 @@ values mean the state is close to a distinguished set:
 
 All gaps use plain interval distances.  A gap of 0 yields +inf, a legal value
 treated downstream as an exceedance of every finite threshold.  Evaluators
-accept a single state (n,) or a stacked array (..., n).
+accept a single state (n,) or a stacked array (..., n).  The sweep
+observables, with their closed-form extremal indices, are `OBSERVABLES`.
 """
 from __future__ import annotations
 
-import csv
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import theory
 from .errors import DegenerateSeriesError, DomainError, InvalidBlocksError
 
 
@@ -26,6 +29,61 @@ def _neg_log(gap: np.ndarray):
     with np.errstate(divide="ignore"):
         out = -np.log(gap)
     return out if out.ndim else float(out)
+
+
+def _sites(state) -> np.ndarray:
+    state = np.asarray(state, dtype=float)
+    if state.shape[-1] < 2:
+        raise DomainError("need at least 2 components")
+    return state
+
+
+def _spread(state) -> np.ndarray:
+    """max_{i!=j} |x_i - x_j| = max(x) - min(x)."""
+    state = _sites(state)
+    return np.max(state, axis=-1) - np.min(state, axis=-1)
+
+
+def _neighbor_gap(reduce):
+    """reduce(|x_{i+1} - x_i|) over a chain; a ring adds |x_n - x_1| (n > 2)."""
+    def gap(state, boundary: str = "chain") -> np.ndarray:
+        state = _sites(state)
+        if boundary not in ("chain", "ring"):
+            raise DomainError("boundary must be 'chain' or 'ring'")
+        gaps = np.abs(np.diff(state, axis=-1))
+        if boundary == "ring" and state.shape[-1] > 2:
+            wrap = np.abs(state[..., -1:] - state[..., :1])
+            gaps = np.concatenate([gaps, wrap], axis=-1)
+        return reduce(gaps, axis=-1)
+    return gap
+
+
+@dataclass(frozen=True)
+class Observable:
+    """A sweep observable -log(gap).  ``ei_sites(n)`` is the lattice size
+    whose closed-form theta holds at size n; None where the code has none."""
+
+    gap: Callable[..., np.ndarray]
+    ei_sites: Callable[[int], int] | None = None
+
+    def closed_form_ei(self, n: int, gamma: float, local_map):
+        """(theta_theory, theta_asymptotic) from the flat trace, or Nones;
+        raises HypothesisViolationError unless gamma < 1 - lambda."""
+        if self.ei_sites is None:
+            return None, None
+        m = self.ei_sites(n)
+        inputs = theory.TheoryInputs(n=m, gamma=gamma, lam=local_map.expansion_bound)
+        return (theory.ei_sync_formula(inputs, local_map),
+                theory.ei_sync_flat_asymptotic(m, gamma, inputs.lam))
+
+
+OBSERVABLES = {
+    "global_sync": Observable(_spread, ei_sites=lambda n: n),
+    "local_sync": Observable(_neighbor_gap(np.max)),
+    # One adjacent pair at a time nears the set, and x_i - x_j is expanded
+    # by s(1 - gamma) for every n: the two-site theta holds at any n.
+    "pair_sync": Observable(_neighbor_gap(np.min), ei_sites=lambda n: 2),
+}
 
 
 def eval_localization(state: np.ndarray, target: np.ndarray):
@@ -39,10 +97,7 @@ def eval_localization(state: np.ndarray, target: np.ndarray):
 
 def eval_global_sync(state: np.ndarray):
     """-log max_{i!=j} |x_i - x_j| = -log (max - min); +inf on the diagonal."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] < 2:
-        raise DomainError("need at least 2 components")
-    return _neg_log(np.max(state, axis=-1) - np.min(state, axis=-1))
+    return _neg_log(_spread(state))
 
 
 def eval_local_sync(state: np.ndarray, boundary: str = "chain"):
@@ -50,36 +105,16 @@ def eval_local_sync(state: np.ndarray, boundary: str = "chain"):
 
     ``chain`` uses pairs (i, i+1) only; ``ring`` adds the wrap-around pair.
     """
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] < 2:
-        raise DomainError("need at least 2 components")
-    if boundary not in ("chain", "ring"):
-        raise DomainError("boundary must be 'chain' or 'ring'")
-    gaps = np.max(np.abs(np.diff(state, axis=-1)), axis=-1)
-    if boundary == "ring" and state.shape[-1] > 2:
-        wrap = np.abs(state[..., -1] - state[..., 0])
-        gaps = np.maximum(gaps, wrap)
-    return _neg_log(gaps)
+    return _neg_log(OBSERVABLES["local_sync"].gap(state, boundary))
 
 
 def eval_pair_sync(state: np.ndarray, boundary: str = "chain"):
     """-log of the MINIMUM nearest-neighbor gap: close-pair synchronization.
 
     High values mean *some* adjacent pair has synchronized, regardless of the
-    rest of the lattice.  Since only one pair is near the boundary of the
-    exceedance set at a time, its extremal index is essentially that of the
-    two-site lattice, independent of n.
+    rest of the lattice.
     """
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] < 2:
-        raise DomainError("need at least 2 components")
-    if boundary not in ("chain", "ring"):
-        raise DomainError("boundary must be 'chain' or 'ring'")
-    gaps = np.min(np.abs(np.diff(state, axis=-1)), axis=-1)
-    if boundary == "ring" and state.shape[-1] > 2:
-        wrap = np.abs(state[..., -1] - state[..., 0])
-        gaps = np.minimum(gaps, wrap)
-    return _neg_log(gaps)
+    return _neg_log(OBSERVABLES["pair_sync"].gap(state, boundary))
 
 
 def _check_blocks(blocks, n: int) -> list[np.ndarray]:
@@ -109,23 +144,22 @@ def eval_block_sync(state: np.ndarray, blocks):
     cleaned = _check_blocks(blocks, state.shape[-1])
     gap = np.zeros(state.shape[:-1])
     for idx in cleaned:
-        sub = state[..., idx]
-        gap = np.maximum(gap, np.max(sub, axis=-1) - np.min(sub, axis=-1))
+        gap = np.maximum(gap, _spread(state[..., idx]))
     return _neg_log(gap)
 
 
 def evaluate_series(trajectory: np.ndarray, kind: str, **kwargs) -> np.ndarray:
-    """Apply an observable along a trajectory (length, ..., n)."""
+    """Apply an observable along a trajectory (length, ..., n).
+
+    ``kind`` names an `OBSERVABLES` record (``boundary=`` for the neighbor
+    gaps), ``localization`` (``target=``) or ``block_sync`` (``blocks=``).
+    """
+    if kind in OBSERVABLES:
+        return _neg_log(OBSERVABLES[kind].gap(trajectory, **kwargs))
     if kind == "localization":
-        return eval_localization(trajectory, kwargs["target"])
-    if kind == "global_sync":
-        return eval_global_sync(trajectory)
-    if kind == "local_sync":
-        return eval_local_sync(trajectory, kwargs.get("boundary", "chain"))
-    if kind == "pair_sync":
-        return eval_pair_sync(trajectory, kwargs.get("boundary", "chain"))
+        return eval_localization(trajectory, **kwargs)
     if kind == "block_sync":
-        return eval_block_sync(trajectory, kwargs["blocks"])
+        return eval_block_sync(trajectory, **kwargs)
     raise DomainError(f"unknown observable kind: {kind}")
 
 
@@ -160,13 +194,3 @@ def exceedance_indicator(series, threshold: float) -> np.ndarray:
 def sync_accuracy_from_threshold(u: float) -> float:
     """The strip accuracy nu = e^{-u} matching observable threshold u."""
     return float(np.exp(-u))
-
-
-def export_series_csv(series, path) -> None:
-    """Write `step,value` rows, spelling infinities as `inf`."""
-    series = np.asarray(series, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "value"])
-        for k, v in enumerate(series):
-            writer.writerow([k, "inf" if np.isinf(v) else f"{v:.17g}"])

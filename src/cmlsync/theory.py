@@ -210,6 +210,19 @@ def strip_measure_upper_bound(n: int, nu: float) -> float:
     return min((2.0 * nu) ** (n - 1), 1.0)
 
 
+def theory_table(n_values, gamma_values, local_map: LocalMap) -> list[tuple]:
+    """Flat-trace `(n, gamma, theta_formula, theta_asymptotic, bound_q0)`
+    rows, n outer and gamma inner; bound_q0 takes sup_h = inf_h = 1."""
+    lam = local_map.expansion_bound
+    return [
+        (n, g,
+         ei_sync_formula(TheoryInputs(n=n, gamma=g, lam=lam), local_map),
+         ei_sync_flat_asymptotic(n, g, lam),
+         ei_upper_bound_q0(n, g, lam, 1.0, 1.0)[0])
+        for n in n_values for g in gamma_values
+    ]
+
+
 def export_theory_sweep_csv(rows, path) -> None:
     """Write `n,gamma,theta_theory,theta_asymptotic,bound_q0` rows."""
     with open(path, "w", newline="") as fh:

@@ -154,14 +154,15 @@ class TestQkEstimator:
         traj[:, 1] = 0.9
         for t in range(0, 20_000, 200):
             traj[t, 1] = 0.5 + 1e-6
-        q, est = qk_return_estimator(traj, accuracy=1e-4, k_max=50,
+        q, est = qk_return_estimator(strip_indicator(traj, 1e-4), k_max=50,
                                      min_visits=50)
         assert np.all(q == 0.0)
         assert est.theta == 1.0
 
     def test_always_inside_gives_zero(self):
         traj = np.full((5000, 2), 0.25)
-        q, est = qk_return_estimator(traj, accuracy=1e-3, min_visits=50)
+        q, est = qk_return_estimator(strip_indicator(traj, 1e-3),
+                                     min_visits=50)
         assert q[0] == 1.0
         assert est.theta == 0.0
 
@@ -169,7 +170,7 @@ class TestQkEstimator:
         traj = np.column_stack([np.linspace(0, 0.999, 500),
                                 np.linspace(0.5, 0.9, 500)])
         with pytest.raises(InsufficientVisitsError):
-            qk_return_estimator(traj, accuracy=1e-9)
+            qk_return_estimator(strip_indicator(traj, 1e-9))
 
     def test_strip_indicator_matches_gap(self, rng):
         traj = rng.uniform(0, 1, (100, 3))

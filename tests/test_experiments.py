@@ -40,8 +40,9 @@ class TestConfig:
             ExperimentConfig(n_values=(1,))
         with pytest.raises(ConfigError):
             ExperimentConfig(gamma_values=(1.0,))
-        with pytest.raises(ConfigError):
-            ExperimentConfig(epsilons=(-0.1,))
+        for eps in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(epsilons=(eps,))
         with pytest.raises(ConfigError):
             ExperimentConfig(quantile=1.2)
         with pytest.raises(ConfigError):
@@ -89,14 +90,29 @@ class TestEiSweep:
         r3 = run_ei_sweep(small_config(threads=2))
         assert r1.rows == r2.rows == r3.rows
 
-    def test_row_contents(self):
-        result = run_ei_sweep(small_config())
+    @pytest.mark.parametrize("observable, n, length, two_site, qk", [
+        pytest.param("global_sync", 2, 2000, True, False, id="global_sync"),
+        pytest.param("pair_sync", 2, 2000, True, False, id="pair_sync"),
+        # pair sync keeps the two-site theta at any n, and q_k reads the
+        # pair set, which at quantile 0.98 holds 200 visits per realization
+        pytest.param("pair_sync", 5, 10_000, True, True, id="pair_sync-n5-qk"),
+        pytest.param("local_sync", 2, 2000, False, False, id="local_sync"),
+    ])
+    def test_row_contents(self, observable, n, length, two_site, qk):
+        result = run_ei_sweep(small_config(
+            observable=observable, n_values=(n,), length=length))
         assert len(result.rows) == 2 * 3  # grid points x realizations
         for row in result.rows:
             assert 0.0 <= row["theta_suveges"] <= 1.0
-            assert row["theta_theory"] == pytest.approx(
-                1.0 - 1.0 / (3.0 * (1.0 - row["gamma"])), abs=1e-12
-            )
+            for col in ("theta_theory", "theta_asymptotic"):
+                if two_site:
+                    assert row[col] == pytest.approx(
+                        1.0 - 1.0 / (3.0 * (1.0 - row["gamma"])), abs=1e-12)
+                else:
+                    assert row[col] is None
+            if qk:
+                assert row["flag"] == ""
+                assert 0.0 <= row["theta_qk"] <= 1.0
 
     def test_aggregates_recompute(self):
         result = run_ei_sweep(small_config())
@@ -264,8 +280,9 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"n_values": [1]}))
-        assert main(["ei-sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        for bad in ({"n_values": [1]}, {"epsilons": [float("nan")]}):
+            cfg.write_text(json.dumps(bad))  # NaN is written as bare NaN
+            assert main(["ei-sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"

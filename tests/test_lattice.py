@@ -51,6 +51,13 @@ class TestLocalMap:
         with pytest.raises(DomainError):
             LocalMap.affine_mod1(1)
 
+    def test_rejects_out_of_range_argument(self, tripling):
+        for x in (-0.1, 1.0, np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(DomainError):
+                tripling(x)
+            with pytest.raises(DomainError):
+                tripling.derivative(x)
+
 
 class TestStep:
     def test_shape_and_range(self, spec2, rng):
@@ -104,8 +111,9 @@ class TestNoise:
         assert np.all((noisy >= 0.0) & (noisy < 1.0))
 
     def test_negative_intensity_rejected(self):
-        with pytest.raises(DomainError):
-            NoiseSpec(-0.1)
+        for eps in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                NoiseSpec(eps)
 
 
 class TestJacobian:
@@ -152,6 +160,11 @@ class TestSimulate:
         x0 = np.array([0.2, 0.7])
         traj = simulate(TrajectoryConfig(spec2, 10, initial_state=x0))
         assert np.array_equal(traj[0], x0)
+
+    def test_initial_state_out_of_range_rejected(self, spec2):
+        for x0 in ([0.2, 1.0], [-0.1, 0.5], [0.2, np.nan]):
+            with pytest.raises(DomainError):
+                TrajectoryConfig(spec2, 10, initial_state=np.array(x0))
 
     def test_ensemble_shape_and_determinism(self, spec2):
         e1 = simulate_ensemble(spec2, 4, 200, seed=8, burn_in=50)
