@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +27,51 @@ from .lattice import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+def _real(name: str, value) -> float:
+    """A config number (an int or a float, not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+@dataclass
+class SpectralConfig:
+    """The keys of `cmlsync spectral`: the Ulam operator of the two-site
+    lattice of x -> slope x mod 1 at coupling gamma, k bins per axis, and the
+    strip widths nus of the extrapolation ladder."""
+
+    gamma: float = 0.1
+    slope: int = 3
+    k: int = 300
+    nus: tuple[float, ...] = (0.04, 0.02, 0.01)
+
+    def __post_init__(self):
+        self.gamma = _real("gamma", self.gamma)
+        if not 0.0 <= self.gamma < 1.0:  # rejects NaN too
+            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
+        self.slope = experiments.int_field("slope", self.slope, 2)
+        self.k = experiments.int_field("k", self.k, 1)
+        if self.k > ulam._MAX_BINS:
+            raise ConfigError(f"k must be <= {ulam._MAX_BINS}, got {self.k}")
+        nus = self.nus if isinstance(self.nus, (list, tuple)) else [self.nus]
+        self.nus = tuple(_real("nus", nu) for nu in nus)
+        if not self.nus:
+            raise ConfigError("nus must hold at least one strip width")
+        if not all(0.0 < nu < 1.0 for nu in self.nus):
+            raise ConfigError(f"nus must lie in (0, 1), got {list(self.nus)}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SpectralConfig":
+        """Build from flat config keys; seed, threads and out_dir are not
+        the command's and are ignored."""
+        keys = {k: v for k, v in raw.items()
+                if k not in ("seed", "threads", "out_dir")}
+        unknown = set(keys) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**keys)
 
 
 def _load_config(args) -> dict:
@@ -159,22 +206,15 @@ def cmd_density(args, raw) -> int:
 
 
 def cmd_spectral(args, raw) -> int:
-    gamma = float(raw.pop("gamma", 0.1))
-    slope = int(raw.pop("slope", 3))
-    k = int(raw.pop("k", 300))
-    nus = raw.pop("nus", [0.04, 0.02, 0.01])
-    raw.pop("seed", None)
-    raw.pop("threads", None)
+    config = SpectralConfig.from_dict(raw)
     out = _out_dir(raw, "spectral_out")
-    raw.pop("out_dir", None)
-    if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    spec = MapSpec(LocalMap.affine_mod1(slope), 2, gamma)
-    op = ulam.build_ulam(spec, k)
-    estimate = ulam.ei_spectral(op, nus)
+    spec = MapSpec(LocalMap.affine_mod1(config.slope), 2, config.gamma)
+    op = ulam.build_ulam(spec, config.k)
+    estimate = ulam.ei_spectral(op, config.nus)
     path = os.path.join(out, "spectral.json")
     ulam.export_spectral_report(estimate, path)
-    print(f"theta_spectral={estimate.theta:.6f} (k={k}, gamma={gamma})")
+    print(f"theta_spectral={estimate.theta:.6f} "
+          f"(k={config.k}, gamma={config.gamma})")
     return EXIT_OK
 
 

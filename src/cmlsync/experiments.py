@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -29,6 +30,18 @@ EI_SWEEP_COLUMNS = [
 ]
 
 
+def int_field(name: str, value, minimum: int) -> int:
+    """A config integer >= minimum.  3 and 3.0 pass as 3; 2.5, "3" and true
+    raise `ConfigError`."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative sweep description (flat, JSON-serializable)."""
@@ -47,8 +60,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.slope < 2:
-            raise ConfigError("slope must be an integer >= 2")
+        for name, minimum in (("slope", 2), ("length", 2), ("realizations", 1),
+                              ("burn_in", 0), ("threads", 1)):
+            setattr(self, name, int_field(name, getattr(self, name), minimum))
         if not self.n_values or not self.gamma_values or not self.epsilons:
             raise ConfigError("n_values, gamma_values and epsilons must be nonempty")
         if any(n < 2 for n in self.n_values):
@@ -57,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError("gamma values must lie in [0, 1)")
         if any(not 0.0 <= e < math.inf for e in self.epsilons):
             raise ConfigError("noise levels must be finite and >= 0")
-        if self.length < 2 or self.realizations < 1:
-            raise ConfigError("length must be >= 2 and realizations >= 1")
         if not 0.0 < self.quantile < 1.0:
             raise ConfigError("quantile must lie in (0, 1)")
         if self.observable not in observables.OBSERVABLES:
@@ -73,8 +85,6 @@ class ExperimentConfig:
                         f"{name} values {seen[key(v)]} and {v} share the seed "
                         f"and file key {key(v)}; make them further apart"
                     )
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     @property
     def local_map(self) -> LocalMap:

@@ -187,7 +187,7 @@ def _lattice_update(spec: MapSpec, shape: tuple[int, ...]):
     full_slope = lmap._full_branch_slope
     # 0-d arrays: ufuncs take them faster than Python floats
     slope = np.array(float(full_slope or 0))
-    keep, share = np.array(1.0 - spec.gamma), np.array(spec.gamma / spec.n)
+    keep, share = _mix_weights(spec)
     coupled = spec.gamma != 0.0
     scratch = np.empty(shape)
     over = np.empty(shape, dtype=bool)
@@ -203,15 +203,30 @@ def _lattice_update(spec: MapSpec, shape: tuple[int, ...]):
             return  # gamma = 0: the mix 1.0 * y + 0.0 is y, bit for bit
         # np.add.reduce is the reduction np.sum(y, axis=-1, keepdims=True)
         # runs, without its dispatch cost
-        total = np.add.reduce(dst, axis=-1, keepdims=True)
-        np.multiply(total, share, out=total)
-        np.multiply(dst, keep, out=dst)
-        np.add(dst, total, out=dst)
-        # convex combination; guard the rare round-up to 1.0
-        np.greater_equal(dst, _ONE, out=over)
-        np.subtract(dst, _ONE, out=dst, where=over)
+        _mix(dst, np.add.reduce(dst, axis=-1, keepdims=True), keep, share,
+             over)
 
     return update
+
+
+def _mix_weights(spec: MapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (1 - gamma, gamma / n) that `_mix` takes, as 0-d arrays."""
+    return np.array(1.0 - spec.gamma), np.array(spec.gamma / spec.n)
+
+
+def _mix(y, total, keep, share, over) -> None:
+    """The mean-field mix in place: y = keep * y + share * total.
+
+    ``total`` holds the sum of the sites' T values and broadcasts against
+    ``y``; it is scaled in place.  ``over`` is boolean scratch shaped like
+    ``y``.  Every output is a convex combination of values in [0, 1), so
+    only the rare round-up to 1.0 needs a guard.
+    """
+    np.multiply(total, share, out=total)
+    np.multiply(y, keep, out=y)
+    np.add(y, total, out=y)
+    np.greater_equal(y, _ONE, out=over)
+    np.subtract(y, _ONE, out=y, where=over)
 
 
 def _kick(dst: np.ndarray, kick: np.ndarray) -> None:

@@ -51,6 +51,14 @@ class TestConfig:
             ExperimentConfig(threads=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(slope=1)
+        for field in ("length", "realizations", "burn_in"):
+            for bad in (2.5, float("nan"), "100", True):
+                with pytest.raises(ConfigError, match=field):
+                    ExperimentConfig(**{field: bad})
+        with pytest.raises(ConfigError, match="burn_in"):
+            ExperimentConfig(burn_in=-5)
+        # an integral float is the integer it names
+        assert ExperimentConfig(length=2000.0, burn_in=0).length == 2000
 
     def test_from_dict_roundtrip(self):
         cfg = small_config()
@@ -280,7 +288,9 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        for bad in ({"n_values": [1]}, {"epsilons": [float("nan")]}):
+        for bad in ({"n_values": [1]}, {"epsilons": [float("nan")]},
+                    {"length": 2.5}, {"length": float("nan")},
+                    {"realizations": 2.5}, {"burn_in": -5}, {"burn_in": 2.5}):
             cfg.write_text(json.dumps(bad))  # NaN is written as bare NaN
             assert main(["ei-sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
@@ -310,6 +320,21 @@ class TestCli:
         out = tmp_path / "spec"
         code = main(["spectral", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("bad", [
+        {"nus": []}, {"k": "abc"}, {"k": 10.7}, {"k": 0}, {"k": 5000},
+        {"nus": [0.0]}, {"nus": [0.02, 1.0]}, {"nus": ["0.02"]},
+        {"gamma": 1.0}, {"gamma": float("nan")}, {"gamma": True},
+        {"slope": 1}, {"bogus": 1},
+    ], ids=lambda bad: json.dumps(bad))
+    def test_spectral_config_error(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "spec"
+        code = main(["spectral", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectral_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

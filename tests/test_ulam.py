@@ -1,12 +1,18 @@
 """Transfer-operator discretization: construction, spectra, open-system EI."""
 import csv
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from cmlsync import ulam
 from cmlsync.errors import DomainError, MemoryBudgetError
-from cmlsync.lattice import MapSpec
+from cmlsync.lattice import LocalMap, MapSpec, step
 from cmlsync.ulam import (
     build_ulam,
     ei_spectral,
@@ -18,6 +24,57 @@ from cmlsync.ulam import (
     second_eigenvalue_modulus,
     strip_mass,
 )
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the sampled build written plainly.  Every subgrid point
+# goes through lattice.step, each chunk of cells becomes a scipy COO -> CSR
+# block (which sums the duplicate samples), and the blocks are summed.
+# ---------------------------------------------------------------------------
+
+def reference_build(spec, k, samples_per_cell, chunk_cells=97):
+    s = int(round(np.sqrt(samples_per_cell)))
+    cells = k * k
+    base = (np.arange(s) + 0.5) / s
+    ox, oy = np.meshgrid(base, base, indexing="ij")
+    offsets = np.column_stack([ox.ravel(), oy.ravel()])
+    matrix = None
+    for start in range(0, cells, chunk_cells):
+        flat = np.arange(start, min(start + chunk_cells, cells))
+        corners = np.column_stack([flat // k, flat % k]) / k
+        pts = (corners[:, None, :] + offsets[None, :, :] / k).reshape(-1, 2)
+        img = step(pts, spec)
+        tx = np.minimum((img[:, 0] * k).astype(np.int64), k - 1)
+        ty = np.minimum((img[:, 1] * k).astype(np.int64), k - 1)
+        rows = np.repeat(flat, s * s)
+        block = sparse.coo_matrix(
+            (np.full(rows.size, 1.0 / (s * s)), (rows, tx * k + ty)),
+            shape=(cells, cells),
+        ).tocsr()
+        matrix = block if matrix is None else matrix + block
+    return matrix
+
+
+def same_csr(a, b) -> bool:
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
+
+
+# Not full-branch: uneven branches, one of them decreasing, so cells straddle
+# wraps where no k lines up with them.
+SKEW = LocalMap((0.0, 0.35, 1.0), (3.0, -2.5), (0.2, 0.9), 0.4)
+
+
+class _RowVectorProduct:
+    """Stands in for `UlamOperator.transposed`: ``self @ v`` is
+    ``v @ matrix``, the product the power iterations took before."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __matmul__(self, v):
+        return v @ self.matrix
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +110,27 @@ class TestBuild:
         b = build_ulam(spec, k=15)
         assert (a.matrix != b.matrix).nnz == 0
 
-    def test_jittered_mode_differs(self, tripling):
-        spec = MapSpec(tripling, 2, 0.3)
-        a = build_ulam(spec, k=15)
-        b = build_ulam(spec, k=15, seed=11)
-        assert (a.matrix != b.matrix).nnz > 0
-        sums = np.asarray(b.matrix.sum(axis=1)).ravel()
-        assert np.allclose(sums, 1.0, atol=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.integers(2, 5).map(LocalMap.affine_mod1), st.just(SKEW)),
+           st.integers(1, 40),
+           st.one_of(st.just(0.0), st.floats(0.0, 0.95, exclude_max=True)),
+           st.sampled_from([1, 4, 9, 81]),
+           st.integers(1, 1 << 13))
+    @example(LocalMap.affine_mod1(3), 12, 0.3, 81, 1 << 14)
+    @example(LocalMap.affine_mod1(3), 13, 0.3, 81, 1)
+    @example(LocalMap.affine_mod1(2), 7, 0.0, 9, 50)
+    @example(SKEW, 31, 0.6, 81, 1 << 14)
+    def test_matches_reference(self, local_map, k, gamma, spc, chunk_pairs):
+        # chunk_pairs down to 1 puts every row in a chunk of its own
+        spec = MapSpec(local_map, 2, gamma)
+        with mock.patch.object(ulam, "_CHUNK_PAIRS", chunk_pairs):
+            got = build_ulam(spec, k, samples_per_cell=spc).matrix
+        assert same_csr(got, reference_build(spec, k, spc))
 
-    def test_chunking_irrelevant(self, tripling):
-        spec = MapSpec(tripling, 2, 0.2)
-        a = build_ulam(spec, k=12, chunk_cells=7)
-        b = build_ulam(spec, k=12, chunk_cells=100_000)
-        assert np.allclose((a.matrix - b.matrix).toarray(), 0.0, atol=1e-15)
+    @pytest.mark.parametrize("k", [60, 61])
+    def test_matches_reference_in_default_chunks(self, tripling, k):
+        spec = MapSpec(tripling, 2, 0.3)
+        assert same_csr(build_ulam(spec, k).matrix, reference_build(spec, k, 81))
 
     def test_input_validation(self, tripling):
         with pytest.raises(DomainError):
@@ -97,6 +162,27 @@ class TestSpectra:
         pi = invariant_density_ulam(op_coupled)
         lam2 = second_eigenvalue_modulus(op_coupled, pi)
         assert 0.0 <= lam2 < 1.0
+
+    def test_transposed_is_built_once_and_sorted(self, op_coupled):
+        t = op_coupled.transposed
+        assert t is op_coupled.transposed
+        assert t.has_sorted_indices
+        assert (t != op_coupled.matrix.T).nnz == 0
+
+    @pytest.mark.parametrize("name", ["op_uncoupled", "op_coupled"])
+    def test_power_iterations_match_row_vector_form(self, request, name):
+        op = request.getfixturevalue(name)
+        old = dataclasses.replace(op)
+        old.transposed = _RowVectorProduct(op.matrix)
+        pi, pi_old = invariant_density_ulam(op), invariant_density_ulam(old)
+        assert pi.tobytes() == pi_old.tobytes()
+        assert (second_eigenvalue_modulus(op, pi)
+                == second_eigenvalue_modulus(old, pi_old))
+        for nu in (0.05, 0.02):
+            rho = perturbed_leading_eigenvalue(make_perturbed(op, nu), start=pi)
+            rho_old = perturbed_leading_eigenvalue(make_perturbed(old, nu),
+                                                   start=pi_old)
+            assert rho == rho_old
 
 
 class TestPerturbed:
