@@ -6,15 +6,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
+import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import experiments, theory, ulam
 from .errors import CmlSyncError, ConfigError
+from .experiments import int_field, list_field, real_field
 from .lattice import (
     LocalMap,
     MapSpec,
@@ -27,51 +28,6 @@ from .lattice import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _real(name: str, value) -> float:
-    """A config number (an int or a float, not a bool) as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-@dataclass
-class SpectralConfig:
-    """The keys of `cmlsync spectral`: the Ulam operator of the two-site
-    lattice of x -> slope x mod 1 at coupling gamma, k bins per axis, and the
-    strip widths nus of the extrapolation ladder."""
-
-    gamma: float = 0.1
-    slope: int = 3
-    k: int = 300
-    nus: tuple[float, ...] = (0.04, 0.02, 0.01)
-
-    def __post_init__(self):
-        self.gamma = _real("gamma", self.gamma)
-        if not 0.0 <= self.gamma < 1.0:  # rejects NaN too
-            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
-        self.slope = experiments.int_field("slope", self.slope, 2)
-        self.k = experiments.int_field("k", self.k, 1)
-        if self.k > ulam._MAX_BINS:
-            raise ConfigError(f"k must be <= {ulam._MAX_BINS}, got {self.k}")
-        nus = self.nus if isinstance(self.nus, (list, tuple)) else [self.nus]
-        self.nus = tuple(_real("nus", nu) for nu in nus)
-        if not self.nus:
-            raise ConfigError("nus must hold at least one strip width")
-        if not all(0.0 < nu < 1.0 for nu in self.nus):
-            raise ConfigError(f"nus must lie in (0, 1), got {list(self.nus)}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SpectralConfig":
-        """Build from flat config keys; seed, threads and out_dir are not
-        the command's and are ignored."""
-        keys = {k: v for k, v in raw.items()
-                if k not in ("seed", "threads", "out_dir")}
-        unknown = set(keys) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**keys)
 
 
 def _load_config(args) -> dict:
@@ -94,92 +50,53 @@ def _load_config(args) -> dict:
     return raw
 
 
-def _experiment_config(raw: dict, **overrides) -> experiments.ExperimentConfig:
-    merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-    merged.pop("out_dir", None)
-    return experiments.ExperimentConfig.from_dict(merged)
+def _output(ns, name: str) -> str:
+    """The path of output file `name`, making the output directory."""
+    os.makedirs(ns.out_dir, exist_ok=True)
+    return os.path.join(ns.out_dir, name)
 
 
-def _out_dir(raw: dict, default: str) -> str:
-    out = raw.get("out_dir") or default
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def cmd_simulate(args, raw) -> int:
-    n = int(raw.pop("n", 2))
-    gamma = float(raw.pop("gamma", 0.0))
-    slope = int(raw.pop("slope", 3))
-    length = int(raw.pop("length", 10_000))
-    epsilon = float(raw.pop("epsilon", 0.0))
-    burn_in = int(raw.pop("burn_in", 1000))
-    seed = int(raw.pop("seed", 0))
-    out = _out_dir(raw, "simulate_out")
-    raw.pop("threads", None)
-    raw.pop("out_dir", None)
-    if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    spec = MapSpec(LocalMap.affine_mod1(slope), n, gamma)
-    traj = simulate(TrajectoryConfig(spec, length, NoiseSpec(epsilon),
-                                     burn_in=burn_in, seed=seed))
-    path = os.path.join(out, "trajectory.csv")
+def cmd_simulate(ns) -> int:
+    spec = MapSpec(LocalMap.affine_mod1(ns.slope), ns.n, ns.gamma)
+    traj = simulate(TrajectoryConfig(spec, ns.length, NoiseSpec(ns.epsilon),
+                                     burn_in=ns.burn_in, seed=ns.seed))
+    path = _output(ns, "trajectory.csv")
     export_trajectory_csv(traj, path)
-    print(f"wrote {path} ({length} steps, n={n}, gamma={gamma})")
+    print(f"wrote {path} ({ns.length} steps, n={ns.n}, gamma={ns.gamma})")
     return EXIT_OK
 
 
-def cmd_ei_sweep(args, raw) -> int:
-    out = raw.pop("out_dir", None) or "ei_sweep_out"
-    config = _experiment_config(raw)
-    for warning in config.warnings():
+def cmd_ei_sweep(ns) -> int:
+    for warning in ns.config.warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    os.makedirs(out, exist_ok=True)
-    result = experiments.run_ei_sweep(config)
-    path = os.path.join(out, "ei_sweep.csv")
+    result = experiments.run_ei_sweep(ns.config)
+    path = _output(ns, "ei_sweep.csv")
     experiments.export_sweep_csv(result, path)
     print(f"wrote {path} ({len(result.rows)} rows + "
           f"{len(result.aggregates)} aggregates)")
     return EXIT_OK
 
 
-def cmd_gev_sweep(args, raw) -> int:
-    out = raw.pop("out_dir", None) or "gev_sweep_out"
-    block_size = int(raw.pop("block_size", 100))
-    config = _experiment_config(raw)
-    os.makedirs(out, exist_ok=True)
-    result = experiments.run_gev_sweep(config, block_size=block_size)
-    path = os.path.join(out, "gev_sweep.csv")
+def cmd_gev_sweep(ns) -> int:
+    result = experiments.run_gev_sweep(ns.config, block_size=ns.block_size)
+    path = _output(ns, "gev_sweep.csv")
     experiments.export_gev_csv(result, path)
     print(f"wrote {path} ({len(result.rows)} rows)")
     return EXIT_OK
 
 
-def cmd_waiting_times(args, raw) -> int:
-    out = raw.pop("out_dir", None) or "waiting_times_out"
-    config = _experiment_config(raw)
-    summaries = experiments.run_waiting_time_report(config, out)
-    path = os.path.join(out, "summary.json")
-    with open(path, "w") as fh:
-        json.dump(summaries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}/ ({len(summaries)} grid points)")
+def cmd_waiting_times(ns) -> int:
+    summaries = experiments.run_waiting_time_report(ns.config, ns.out_dir)
+    experiments.write_json(_output(ns, "summary.json"), summaries)
+    print(f"wrote {ns.out_dir}/ ({len(summaries)} grid points)")
     return EXIT_OK
 
 
-def cmd_compound_poisson(args, raw) -> int:
-    out = raw.pop("out_dir", None) or "compound_poisson_out"
-    accuracy = float(raw.pop("accuracy", 5e-3))
-    t = float(raw.pop("t", 1.0))
-    ensemble_size = int(raw.pop("ensemble_size", 400))
-    raw.setdefault("length", 1_000_000)
-    config = _experiment_config(raw)
-    os.makedirs(out, exist_ok=True)
+def cmd_compound_poisson(ns) -> int:
     reports = experiments.run_compound_poisson_check(
-        config, accuracy=accuracy, t=t, ensemble_size=ensemble_size)
-    path = os.path.join(out, "compound_poisson.json")
-    with open(path, "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        ns.config, accuracy=ns.accuracy, t=ns.t,
+        ensemble_size=ns.ensemble_size)
+    experiments.write_json(_output(ns, "compound_poisson.json"), reports)
     for rep in reports:
         print(f"n={rep['n']} gamma={rep['gamma']}: "
               f"TV(compound)={rep['tv_compound_poisson']:.4f} "
@@ -187,79 +104,126 @@ def cmd_compound_poisson(args, raw) -> int:
     return EXIT_OK
 
 
-def cmd_density(args, raw) -> int:
-    out = raw.pop("out_dir", None) or "density_out"
-    bins = raw.pop("bins", None)
-    density_realizations = int(raw.pop("density_realizations", 300))
-    iterations_each = int(raw.pop("iterations_each", 10_000))
-    config = _experiment_config(raw)
+def cmd_density(ns) -> int:
     records = experiments.run_density_figures(
-        config, out, bins=None if bins is None else int(bins),
-        density_realizations=density_realizations,
-        iterations_each=iterations_each)
-    path = os.path.join(out, "density_report.json")
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}/ ({len(records)} grids)")
+        ns.config, ns.out_dir, bins=ns.bins,
+        density_realizations=ns.density_realizations,
+        iterations_each=ns.iterations_each)
+    experiments.write_json(_output(ns, "density_report.json"), records)
+    print(f"wrote {ns.out_dir}/ ({len(records)} grids)")
     return EXIT_OK
 
 
-def cmd_spectral(args, raw) -> int:
-    config = SpectralConfig.from_dict(raw)
-    out = _out_dir(raw, "spectral_out")
-    spec = MapSpec(LocalMap.affine_mod1(config.slope), 2, config.gamma)
-    op = ulam.build_ulam(spec, config.k)
-    estimate = ulam.ei_spectral(op, config.nus)
-    path = os.path.join(out, "spectral.json")
+def cmd_spectral(ns) -> int:
+    spec = MapSpec(LocalMap.affine_mod1(ns.slope), 2, ns.gamma)
+    op = ulam.build_ulam(spec, ns.k)
+    estimate = ulam.ei_spectral(op, ns.nus)
+    path = _output(ns, "spectral.json")
     ulam.export_spectral_report(estimate, path)
-    print(f"theta_spectral={estimate.theta:.6f} "
-          f"(k={config.k}, gamma={config.gamma})")
+    print(f"theta_spectral={estimate.theta:.6f} (k={ns.k}, gamma={ns.gamma})")
     return EXIT_OK
 
 
-def cmd_theory(args, raw) -> int:
-    slope = int(raw.pop("slope", 3))
-    n_values = [int(v) for v in raw.pop("n_values", [2, 3, 4, 5])]
-    gamma_values = [float(v) for v in
-                    raw.pop("gamma_values", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])]
-    raw.pop("seed", None)
-    raw.pop("threads", None)
-    out = _out_dir(raw, "theory_out")
-    raw.pop("out_dir", None)
-    if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    rows = theory.theory_table(n_values, gamma_values,
-                               LocalMap.affine_mod1(slope))
-    path = os.path.join(out, "theory.csv")
+def cmd_theory(ns) -> int:
+    rows = theory.theory_table(ns.n_values, ns.gamma_values,
+                               LocalMap.affine_mod1(ns.slope))
+    path = _output(ns, "theory.csv")
     theory.export_theory_sweep_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def cmd_reproduce(args, raw) -> int:
-    seed = int(raw.pop("seed", 0))
-    threads = int(raw.pop("threads", 1))
-    out = raw.pop("out_dir", None) or f"reproduce_{args.figure_id}"
-    if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    manifest = experiments.reproduce(args.figure_id, out, seed=seed,
-                                     threads=threads)
-    print(f"wrote {out}/ ({len(manifest['outputs'])} data files + manifest)")
+def cmd_reproduce(ns) -> int:
+    manifest = experiments.reproduce(ns.figure_id, ns.out_dir, seed=ns.seed,
+                                     threads=ns.threads)
+    print(f"wrote {ns.out_dir}/ ({len(manifest['outputs'])} data files + "
+          f"manifest)")
     return EXIT_OK
 
 
+def _ulam_bins(name: str, value) -> int:
+    k = int_field(name, value, 1)
+    if k > ulam._MAX_BINS:
+        raise ConfigError(f"{name} must be <= {ulam._MAX_BINS}, got {k}")
+    return k
+
+
+_GAMMA = partial(real_field, low=0.0, high=1.0)
+
+# command: (cmd_*, default output directory, its own keys as
+# {key: (check, default)}, and for the five sweep commands the defaults of
+# the ExperimentConfig keys they also take; None for the other commands).
+# A check is check(key, value) -> value and raises ConfigError.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "ei-sweep": cmd_ei_sweep,
-    "gev-sweep": cmd_gev_sweep,
-    "waiting-times": cmd_waiting_times,
-    "compound-poisson": cmd_compound_poisson,
-    "density": cmd_density,
-    "spectral": cmd_spectral,
-    "theory": cmd_theory,
-    "reproduce": cmd_reproduce,
+    "simulate": (cmd_simulate, "simulate_out", {
+        "n": (partial(int_field, minimum=2), 2),
+        "gamma": (_GAMMA, 0.0),
+        "slope": (partial(int_field, minimum=2), 3),
+        "length": (partial(int_field, minimum=1), 10_000),
+        "epsilon": (partial(real_field, low=0.0, high=math.inf), 0.0),
+        "burn_in": (partial(int_field, minimum=0), 1000),
+        "seed": (partial(int_field, minimum=0), 0),
+    }, None),
+    "ei-sweep": (cmd_ei_sweep, "ei_sweep_out", {}, {}),
+    "gev-sweep": (cmd_gev_sweep, "gev_sweep_out", {
+        "block_size": (partial(int_field, minimum=1), 100),
+    }, {}),
+    "waiting-times": (cmd_waiting_times, "waiting_times_out", {}, {}),
+    "compound-poisson": (cmd_compound_poisson, "compound_poisson_out", {
+        "accuracy": (partial(real_field, low=0.0, high=1.0, open_low=True),
+                     5e-3),
+        "t": (partial(real_field, low=0.0, high=math.inf, open_low=True), 1.0),
+        "ensemble_size": (partial(int_field, minimum=50), 400),
+    }, {"length": 1_000_000}),
+    "density": (cmd_density, "density_out", {
+        "bins": (partial(int_field, minimum=1), None),  # None: 300, or 60 at n = 3
+        "density_realizations": (partial(int_field, minimum=1), 300),
+        "iterations_each": (partial(int_field, minimum=1), 10_000),
+    }, {}),
+    "spectral": (cmd_spectral, "spectral_out", {
+        "gamma": (_GAMMA, 0.1),
+        "slope": (partial(int_field, minimum=2), 3),
+        "k": (_ulam_bins, 300),
+        "nus": (partial(list_field, item=partial(
+            real_field, low=0.0, high=1.0, open_low=True)), (0.04, 0.02, 0.01)),
+    }, None),
+    "theory": (cmd_theory, "theory_out", {
+        "slope": (partial(int_field, minimum=2), 3),
+        "n_values": (partial(list_field, item=partial(int_field, minimum=2)),
+                     (2, 3, 4, 5)),
+        "gamma_values": (partial(list_field, item=_GAMMA),
+                         (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
+    }, None),
+    "reproduce": (cmd_reproduce, "reproduce_{figure_id}", {
+        "seed": (partial(int_field, minimum=0), 0),
+        "threads": (partial(int_field, minimum=1), 1),
+    }, None),
 }
+
+
+def _parse(args) -> argparse.Namespace:
+    """The command's checked keys, from its config file and --seed,
+    --threads and --out.  Unknown keys are config errors; seed and threads
+    are ignored by the commands that do not take them."""
+    raw = _load_config(args)
+    _, out_dir, keys, sweep = _COMMANDS[args.command]
+    figure_id = getattr(args, "figure_id", None)
+    out = raw.pop("out_dir", None)
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out_dir must be a path, got {out!r}")
+    out_dir = out or out_dir.format(figure_id=figure_id)
+    config_keys = set() if sweep is None else set(
+        experiments.ExperimentConfig.__dataclass_fields__)
+    unknown = set(raw) - set(keys) - config_keys - {"seed", "threads"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    ns = argparse.Namespace(out_dir=out_dir, figure_id=figure_id, **{
+        key: check(key, raw[key]) if key in raw else default
+        for key, (check, default) in keys.items()})
+    if sweep is not None:
+        ns.config = experiments.ExperimentConfig(
+            **{**sweep, **{k: v for k, v in raw.items() if k in config_keys}})
+    return ns
 
 
 def _common_flags(default) -> argparse.ArgumentParser:
@@ -295,8 +259,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = _load_config(args)
-        return _COMMANDS[args.command](args, raw)
+        ns = _parse(args)
+        return _COMMANDS[args.command][0](ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,6 +8,7 @@ extremal-index formula.
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import DomainError, MemoryBudgetError
 # step_noisy stays importable here: bench/tracing.py wraps density.step_noisy
 from .lattice import MapSpec, NoiseSpec, _orbit, _rng_for, step_noisy  # noqa: F401
+from .lattice import _MAX_ENSEMBLE_BYTES
 
 _MAX_CELLS = 200_000_000  # int64 counts, ~1.6 GB
 _CHUNK_ELEMENTS = 1 << 18  # 2 MB of float64 states per chunk
@@ -79,12 +81,16 @@ def estimate_density(
         raise DomainError("density estimation supports n = 2 or 3 only")
     if bins**n > _MAX_CELLS:
         raise MemoryBudgetError(f"{bins}^{n} cells exceed the memory budget")
+    # the orbit streams through one reused buffer of _CHUNK_ELEMENTS states
+    per_chunk = max(1, min(iterations_each, _CHUNK_ELEMENTS // (realizations * n)))
+    need = (per_chunk + 1) * realizations * n * 8  # the buffer and the starts
+    if need > _MAX_ENSEMBLE_BYTES:
+        raise MemoryBudgetError(f"{realizations} realizations of {n} sites "
+                                f"need {need / 1e9:.2f} GB, over the budget")
     rng = _rng_for(seed)
     states = rng.uniform(0.0, 1.0, size=(realizations, n))
     counts = np.zeros(bins**n, dtype=np.int64)
     strides = bins ** np.arange(n - 1, -1, -1)
-    # the orbit streams through one reused buffer of _CHUNK_ELEMENTS states
-    per_chunk = max(1, min(iterations_each, _CHUNK_ELEMENTS // states.size))
     chunk = np.empty((per_chunk, realizations, n))
     skip = burn_in
     for start in range(0, iterations_each, per_chunk):
@@ -142,13 +148,18 @@ def trace_oscillation(trace_narrow: DiagonalTrace, trace_wide: DiagonalTrace) ->
 
 
 def export_density_csv(hist: DensityHistogram, path) -> None:
-    """Write `bin_index_1,...,bin_index_n,density` rows."""
+    """Write `bin_index_1,...,bin_index_n,density` rows, in C order with
+    `%.17g` densities and csv's \\r\\n line ends."""
     density = hist.density
+    # one plane of the first axis at a time keeps the Python rows few
+    rest = [c.ravel().tolist() for c in np.indices(density.shape[1:])]
+    row = ",".join(["%d"] * hist.n + ["%.17g"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"bin_index_{i + 1}" for i in range(hist.n)] + ["density"])
-        for idx in np.ndindex(density.shape):
-            writer.writerow(list(idx) + [f"{density[idx]:.17g}"])
+        fh.write(",".join([f"bin_index_{i + 1}" for i in range(hist.n)]
+                          + ["density"]) + "\r\n")
+        for i, plane in enumerate(density):
+            fh.writelines(map(row.__mod__, zip(
+                repeat(i), *rest, plane.ravel().tolist())))
 
 
 def export_trace_csv(trace: DiagonalTrace, path) -> None:

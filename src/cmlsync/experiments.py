@@ -13,6 +13,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,29 @@ def int_field(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def real_field(name: str, value, low: float, high: float,
+               open_low: bool = False) -> float:
+    """A config real in [low, high), or in (low, high) with open_low, as a
+    float.  NaN, "0.5" and true raise `ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        raise ConfigError(f"{name} is out of range, got {value!r}") from None
+    if not (low < value if open_low else low <= value) or not value < high:
+        raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"
+                          f"{low}, {high}), got {value!r}")
+    return value
+
+
+def list_field(name: str, value, item) -> tuple:
+    """A nonempty config list as a tuple of ``item(name, entry)``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+    return tuple(item(name, v) for v in value)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative sweep description (flat, JSON-serializable)."""
@@ -61,19 +85,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, minimum in (("slope", 2), ("length", 2), ("realizations", 1),
-                              ("burn_in", 0), ("threads", 1)):
+                              ("seed", 0), ("burn_in", 0), ("threads", 1)):
             setattr(self, name, int_field(name, getattr(self, name), minimum))
-        if not self.n_values or not self.gamma_values or not self.epsilons:
-            raise ConfigError("n_values, gamma_values and epsilons must be nonempty")
-        if any(n < 2 for n in self.n_values):
-            raise ConfigError("lattice sizes must be >= 2")
-        if any(not 0.0 <= g < 1.0 for g in self.gamma_values):
-            raise ConfigError("gamma values must lie in [0, 1)")
-        if any(not 0.0 <= e < math.inf for e in self.epsilons):
-            raise ConfigError("noise levels must be finite and >= 0")
-        if not 0.0 < self.quantile < 1.0:
-            raise ConfigError("quantile must lie in (0, 1)")
-        if self.observable not in observables.OBSERVABLES:
+        for name, item in (
+                ("n_values", partial(int_field, minimum=2)),
+                ("gamma_values", partial(real_field, low=0.0, high=1.0)),
+                ("epsilons", partial(real_field, low=0.0, high=math.inf))):
+            setattr(self, name, list_field(name, getattr(self, name), item))
+        self.quantile = real_field("quantile", self.quantile, 0.0, 1.0,
+                                   open_low=True)
+        if not (isinstance(self.observable, str)
+                and self.observable in observables.OBSERVABLES):
             raise ConfigError(f"unknown observable {self.observable!r}; "
                               f"expected one of {sorted(observables.OBSERVABLES)}")
         for name, values, key in (("gamma", self.gamma_values, _gamma_key),
@@ -106,14 +128,7 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for key in ("n_values", "gamma_values", "epsilons"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -270,6 +285,13 @@ def export_sweep_csv(result: SweepResult, path) -> None:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
+def write_json(path, data) -> None:
+    """`data` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _fmt(v):
     if v is None:
         return ""
@@ -399,10 +421,10 @@ def run_compound_poisson_check(
     """
     if ensemble_size < 50:
         raise ConfigError("ensemble_size must be >= 50")
+    if any(eps != 0.0 for eps in config.epsilons):
+        raise ConfigError("compound-Poisson check is a deterministic protocol")
     reports = []
-    for n, gamma, eps in _grid(config):
-        if eps != 0.0:
-            raise ConfigError("compound-Poisson check is a deterministic protocol")
+    for n, gamma, _ in _grid(config):
         _, ensemble = _point_ensemble(config, n, gamma, None, 3, realizations=1)
         ind = evt.strip_indicator(ensemble[:, 0, :], accuracy)
         mu_strip = float(np.mean(ind))
@@ -445,11 +467,11 @@ def run_density_figures(
     iterations_each: int = 10_000,
 ) -> list[dict]:
     """Invariant-density histograms and diagonal traces per (n, gamma)."""
+    if any(n > 3 for n in config.n_values):
+        raise ConfigError("density figures support n in {2, 3} only")
     os.makedirs(out_dir, exist_ok=True)
     records = []
     for n, gamma, eps in _grid(config):
-        if n > 3:
-            raise ConfigError("density figures support n in {2, 3} only")
         b = bins if bins is not None else (300 if n == 2 else 60)
         spec = MapSpec(config.local_map, n, gamma)
         seed = _point_seed(config.seed, n, _gamma_key(gamma), _eps_key(eps), 5)
@@ -575,25 +597,27 @@ def reproduce(figure_id: str, out_dir: str, seed: int = 0,
         extra["records"] = records
     manifest = {
         "figure_id": figure_id,
-        "seed": seed,
+        "seed": config.seed,
         "config": config.to_dict(),
         "outputs": sorted(outputs),
         **extra,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
 def reproduce_from_manifest(manifest_path: str, out_dir: str) -> dict:
     """Replay a saved manifest; output files are byte-identical."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     try:
         figure_id = manifest["figure_id"]
         seed = manifest["seed"]
         threads = manifest["config"].get("threads", 1)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed manifest: missing {exc}") from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed manifest: {exc!r}") from exc
+    # reproduce checks figure_id, and its ExperimentConfig seed and threads
     return reproduce(figure_id, out_dir, seed=seed, threads=threads)

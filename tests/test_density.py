@@ -57,6 +57,8 @@ class TestEstimateDensity:
     def test_memory_budget(self, tripling):
         with pytest.raises(MemoryBudgetError):
             estimate_density(MapSpec(tripling, 3, 0.1), 1, 10, 1000, seed=0)
+        with pytest.raises(MemoryBudgetError):  # 2 x 16 GB of states
+            estimate_density(MapSpec(tripling, 2, 0.1), 10**9, 10, 10, seed=0)
 
     def test_noise_changes_counts(self, tripling):
         spec = MapSpec(tripling, 2, 0.3)
@@ -129,6 +131,21 @@ class TestExports:
         assert len(rows) == 1 + 20 * 20
         total = sum(float(r[2]) for r in rows[1:]) * (1.0 / 20) ** 2
         assert total == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n, bins", [(2, 7), (3, 4)])
+    def test_density_csv_matches_row_writer(self, tmp_path, n, bins):
+        counts = np.random.default_rng(n).integers(0, 9, size=(bins,) * n)
+        hist = DensityHistogram(n, bins, counts, int(counts.sum()))
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:  # one csv row per bin
+            writer = csv.writer(fh)
+            writer.writerow([f"bin_index_{i + 1}" for i in range(n)]
+                            + ["density"])
+            for idx in np.ndindex(hist.density.shape):
+                writer.writerow(list(idx) + [f"{hist.density[idx]:.17g}"])
+        path = tmp_path / "density.csv"
+        export_density_csv(hist, path)
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_trace_csv(self, hist_flat, tmp_path):
         trace = diagonal_trace(hist_flat)

@@ -250,6 +250,17 @@ class TestReproduce:
             with open(first / name, "rb") as fa, open(second / name, "rb") as fb:
                 assert fa.read() == fb.read()
 
+    def test_malformed_manifest_is_config_error(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        for manifest in ({"figure_id": "global_Poisson", "seed": 0, "config": []},
+                         {"figure_id": "global_Poisson", "seed": "x", "config": {}}):
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(ConfigError):
+                reproduce_from_manifest(str(path), str(tmp_path / "out"))
+        path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            reproduce_from_manifest(str(path), str(tmp_path / "out"))
+
 
 class TestCli:
     def test_theory_command(self, tmp_path):
