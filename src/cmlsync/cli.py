@@ -52,7 +52,7 @@ def _load_config(args) -> dict:
 
 def _output(ns, name: str) -> str:
     """The path of output file `name`, making the output directory."""
-    os.makedirs(ns.out_dir, exist_ok=True)
+    experiments.make_output_dir(ns.out_dir)
     return os.path.join(ns.out_dir, name)
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 from . import observables
@@ -28,6 +28,10 @@ from .errors import (
 )
 
 _XI_GUMBEL_EPS = 1e-6
+_NEWTON_MAXITER = 100
+_NEWTON_XTOL = 1e-10  # Newton step, in the solver's O(1) units
+_FD_STEP = 1e-7       # forward-difference step of the GEV Hessian
+_GPD_LAM_MAX = 700.0  # log1p(t max z) stays below exp overflow
 
 
 @dataclass
@@ -43,7 +47,6 @@ class EvtFitResult:
     sigma: float
     log_likelihood: float
     n_samples: int
-    standard_errors: tuple[float, ...] | None = None
     family: str = "gev"
 
     def to_json_dict(self) -> dict:
@@ -54,9 +57,6 @@ class EvtFitResult:
             "sigma": self.sigma,
             "log_likelihood": self.log_likelihood,
             "samples": self.n_samples,
-            "standard_errors": list(self.standard_errors)
-            if self.standard_errors is not None
-            else None,
         }
 
 
@@ -157,35 +157,80 @@ def _gev_pwm_init(y: np.ndarray) -> np.ndarray:
     return np.array([-k, mu, max(sigma, 1e-12)])
 
 
-def _std_errors(nll, params: np.ndarray, args) -> tuple[float, ...] | None:
-    """Asymptotic standard errors from a finite-difference Hessian."""
-    p = np.asarray(params, dtype=float)
-    k = p.size
-    h = 1e-4 * np.maximum(np.abs(p), 1e-2)
-    hess = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            ei = np.zeros(k)
-            ej = np.zeros(k)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            f_pp = nll(p + ei + ej, *args)
-            f_pm = nll(p + ei - ej, *args)
-            f_mp = nll(p - ei + ej, *args)
-            f_mm = nll(p - ei - ej, *args)
-            hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[i] * h[j])
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(cov)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        return None
-    return tuple(np.sqrt(diag))
+def _log1p_excess(u: np.ndarray) -> np.ndarray:
+    """((1 + u) log1p(u) - u) / u^2, by its series 1/2 - u/6 + u^2/12 - ...
+    where |u| < 1e-3 and the direct form would cancel."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = ((1.0 + u) * np.log1p(u) - u) / (u * u)
+    series = 0.5 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u / 30)))
+    return np.where(np.abs(u) < 1e-3, series, direct)
+
+
+def _gev_score(params: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient in (xi, mu, sigma) of the GEV negative log-likelihood that
+    `_gev_nll` evaluates; NaN outside the support.
+
+    It is continuous through xi = 0 and free of the cancellation of
+    log(1 + xi z) / xi: inside its Gumbel band `_gev_nll` differs from this
+    likelihood by O(|xi|) < 1e-6 relative.
+    """
+    xi, mu, sigma = params
+    if sigma <= 0.0:
+        return np.full(3, np.nan)
+    z = (y - mu) / sigma
+    u = xi * z
+    if np.any(u <= -1.0):
+        return np.full(3, np.nan)
+    t = 1.0 + u
+    s = np.exp(-z) if xi == 0.0 else np.exp(-np.log1p(u) / xi)
+    r = (s - 1.0 - xi) / t
+    d_xi = float(np.sum(z * (1.0 + (s - 1.0) * z * _log1p_excess(u)) / t))
+    return np.array([d_xi, float(np.sum(r)) / sigma,
+                     (y.size + float(np.sum(z * r))) / sigma])
+
+
+def _gev_newton(x: np.ndarray, f: float, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Damped Newton descent on `_gev_nll` from (x, f = nll(x)).
+
+    The Hessian is the forward difference of `_gev_score`, in units where
+    xi, mu / sigma and sigma / sigma are O(1); where it is not positive
+    definite its eigenvalues enter by magnitude, so every step descends.  The
+    step is halved until it stays in the support and meets the Armijo test,
+    up to the rounding error of `_gev_nll`, whose log(1 + xi z) loses digits
+    in proportion to 1 / |xi|.
+    """
+    eps = np.finfo(float).eps
+    for _ in range(_NEWTON_MAXITER):
+        scale = np.array([1.0, x[2], x[2]])
+        g = _gev_score(x, y) * scale
+        hess = np.column_stack([
+            (_gev_score(x + _FD_STEP * e, y) * scale - g) / _FD_STEP
+            for e in np.eye(3) * scale])
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
+            raise FitError("GEV score is not finite on the Newton path")
+        evals, evecs = np.linalg.eigh(0.5 * (hess + hess.T))
+        evals = np.maximum(np.abs(evals), 1e-12 * np.max(np.abs(evals)))
+        step = -evecs @ ((evecs.T @ g) / evals)
+        if np.max(np.abs(step)) <= _NEWTON_XTOL:
+            return x, f
+        slope = float(g @ step)
+        alpha = 1.0
+        while True:
+            x_new = x + alpha * step * scale
+            f_new = _gev_nll(x_new, y)
+            noise = 8 * eps * (abs(f) + y.size / max(abs(x_new[0]), _XI_GUMBEL_EPS))
+            if f_new <= f + 1e-4 * alpha * slope + noise:
+                break
+            alpha *= 0.5
+            if alpha < 1e-12:
+                raise FitError("GEV Newton line search found no descent")
+        x, f = x_new, f_new
+    raise FitError(f"GEV Newton iteration did not converge in {_NEWTON_MAXITER} steps")
 
 
 def fit_gev_mle(block_maxima, min_samples: int = 30) -> EvtFitResult:
-    """GEV fit by maximum likelihood with a PWM starting point."""
+    """GEV fit by maximum likelihood: damped Newton steps on the analytic
+    score (`_gev_newton`) from the probability-weighted-moments start."""
     y = np.asarray(block_maxima, dtype=float)
     y = y[np.isfinite(y)]
     if y.size < min_samples:
@@ -197,17 +242,15 @@ def fit_gev_mle(block_maxima, min_samples: int = 30) -> EvtFitResult:
     if not np.isfinite(init_nll):
         x0 = np.array([0.0, float(np.mean(y)), float(np.std(y)) or 1.0])
         init_nll = _gev_nll(x0, y)
-    res = minimize(_gev_nll, x0, args=(y,), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000})
-    if not res.success or not np.isfinite(res.fun):
-        raise FitError(f"GEV optimization failed: {res.message}")
-    if res.fun > init_nll + 1e-8:
+    x, nll = _gev_newton(x0, init_nll, y)
+    if not np.isfinite(nll):
+        raise FitError("GEV likelihood is not finite at the optimum")
+    if nll > init_nll + 1e-8:
         raise FitError("optimizer ended below the PWM starting likelihood")
-    xi, mu, sigma = res.x
+    xi, mu, sigma = x
     return EvtFitResult(
         xi=float(xi), mu=float(mu), sigma=float(sigma),
-        log_likelihood=-float(res.fun), n_samples=y.size,
-        standard_errors=_std_errors(_gev_nll, res.x, (y,)), family="gev",
+        log_likelihood=-float(nll), n_samples=y.size, family="gev",
     )
 
 
@@ -223,12 +266,35 @@ def _gpd_nll(params: np.ndarray, z: np.ndarray) -> float:
     return z.size * math.log(sigma) + (1.0 + 1.0 / xi) * float(np.sum(np.log(t)))
 
 
+def _gpd_profile(lam: float, w: np.ndarray, top: int) -> tuple[float, float]:
+    """(xi, sigma / max z) on Grimshaw's profile curve at lam = log1p(t max z).
+
+    For fixed t = xi / sigma the GPD likelihood peaks at xi(t) = mean
+    log1p(t z) and sigma = xi / t.  ``w`` holds the excesses below the
+    largest, over the largest, and ``top`` counts those equal to it; their
+    log1p(t z) is lam itself, which stays exact as t z -> -1 (xi -> -inf).
+    """
+    n = w.size + top
+    if lam == 0.0:  # the exponential limit t -> 0
+        return 0.0, (float(np.sum(w)) + top) / n
+    tm = math.expm1(lam)
+    xi = (top * lam + float(np.sum(np.log1p(tm * w)))) / n
+    return xi, xi / tm
+
+
 def fit_gpd_mle(values, threshold: float | None = None,
                 min_samples: int = 30) -> EvtFitResult:
-    """GPD fit on excesses over a threshold.
+    """GPD fit on excesses over a threshold, by a bounded 1-D search.
 
     ``values`` are exceedances; if ``threshold`` is None they are taken to be
-    excesses already (threshold 0).
+    excesses already (threshold 0).  The scale is profiled out in
+    t = xi / sigma (Grimshaw 1993, Technometrics 35), which leaves the
+    profile negative log-likelihood n (log sigma + 1 + xi) to minimise by
+    Brent's method in lam = log1p(t max z), over the region xi(t) > -1 up
+    to Grimshaw's bound t < 2 (mean z - min z) / min z^2 on every root of
+    the likelihood equation.  Below xi = -1 the likelihood is unbounded and
+    the MLE irregular (Smith 1985), so an optimum at either end of that
+    interval raises `FitError`.
     """
     u = 0.0 if threshold is None else float(threshold)
     z = np.asarray(values, dtype=float) - u
@@ -250,17 +316,37 @@ def fit_gpd_mle(values, threshold: float | None = None,
     if not np.isfinite(init_nll):
         x0 = np.array([0.0, mean])
         init_nll = _gpd_nll(x0, z)
-    res = minimize(_gpd_nll, x0, args=(z,), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 5000})
-    if not res.success or not np.isfinite(res.fun):
-        raise FitError(f"GPD optimization failed: {res.message}")
-    if res.fun > init_nll + 1e-8:
+
+    z_max = float(np.max(z))
+    w = z[z < z_max] / z_max
+    top = z.size - w.size
+    n = z.size
+
+    def profile_nll(lam: float) -> float:
+        xi, s = _gpd_profile(lam, w, top)
+        return math.log(s) + 1.0 + xi
+
+    lo = brentq(lambda lam: _gpd_profile(lam, w, top)[0] + 1.0, -n / top, 0.0,
+                xtol=1e-12)
+    w_min = float(np.min(z)) / z_max
+    log_t_bound = math.log(2.0 * (mean / z_max - w_min)) - 2.0 * math.log(w_min)
+    hi = min(float(np.logaddexp(0.0, log_t_bound)), _GPD_LAM_MAX)
+    res = minimize_scalar(profile_nll, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10, "maxiter": 500})
+    if not res.success:
+        raise FitError(f"GPD profile search failed: {res.message}")
+    if not res.fun < min(profile_nll(lo), profile_nll(hi)):
+        raise FitError("GPD likelihood peaks at an end of the xi > -1 region")
+    xi, s = _gpd_profile(float(res.x), w, top)
+    sigma = s * z_max
+    nll = _gpd_nll(np.array([xi, sigma]), z)
+    if not np.isfinite(nll):
+        raise FitError("GPD likelihood is not finite at the optimum")
+    if nll > init_nll + 1e-8:
         raise FitError("optimizer ended below the moment starting likelihood")
-    xi, sigma = res.x
     return EvtFitResult(
         xi=float(xi), mu=u, sigma=float(sigma),
-        log_likelihood=-float(res.fun), n_samples=z.size,
-        standard_errors=_std_errors(_gpd_nll, res.x, (z,)), family="gpd",
+        log_likelihood=-float(nll), n_samples=n, family="gpd",
     )
 
 
@@ -352,17 +438,20 @@ def strip_indicator(trajectory: np.ndarray, accuracy: float) -> np.ndarray:
 
 def qk_return_estimator(
     indicator: np.ndarray,
-    k_max: int = 50,
+    k_max: int = 0,
     min_visits: int = 100,
 ) -> tuple[np.ndarray, EiEstimate]:
     """Empirical first-return distribution to the set ``indicator`` marks
     (the sweep's ``series > u``, or `strip_indicator`'s diagonal strip).
 
     q_k is the fraction of visits whose first return takes exactly k+1
-    steps; theta = 1 - sum_k q_k.  Visits too close to the end of the series
-    to observe a k_max-step window are discarded.  The mass of visits with no
-    return within k_max steps is reported as ``truncation_tail`` (it is part
-    of theta by construction).
+    steps; theta = 1 - sum_{k <= k_max} q_k.  The default k_max = 0 gives
+    theta = 1 - q_0: the diagonal is invariant, so a cluster is a run of
+    consecutive visits, while at sweep quantiles chance returns within a
+    longer window would add about k_max times the set's measure.  Visits too
+    close to the end of the series to observe a k_max-step window are
+    discarded.  The mass of visits with no return within k_max steps is
+    reported as ``truncation_tail`` (it is part of theta by construction).
     """
     ind = np.asarray(indicator, dtype=bool)
     positions = np.flatnonzero(ind)
@@ -437,6 +526,39 @@ def compound_poisson_pmf(t: float, p: float, k: int) -> float:
         - gammaln(j + 1)
     )
     return float(math.exp(-t * (1.0 - p) + logsumexp(log_terms)))
+
+
+def compound_poisson_pmf_array(t: float, p: float, size: int) -> np.ndarray:
+    """`compound_poisson_pmf` at k = 0, ..., size - 1, in O(size).
+
+    Runs the Polya-Aeppli recurrence
+
+        k P_k = (2p(k-1) + t(1-p)^2) P_{k-1} - p^2 (k-2) P_{k-2}
+
+    from P_0 = e^{-t(1-p)}, kept as a mantissa and a running log-scale so
+    that terms survive where e^{-t(1-p)} alone would underflow.
+    """
+    if t < 0.0 or size < 0:
+        raise DomainError("t and size must be nonnegative")
+    if not 0.0 <= p < 1.0:
+        raise DomainError("p must lie in [0, 1)")
+    mant = np.zeros(size)
+    log_scale = np.zeros(size)
+    shift = -t * (1.0 - p)
+    a = t * (1.0 - p) ** 2
+    prev, cur = 0.0, 1.0  # mantissas of P_{-1} and P_0
+    for k in range(size):
+        if k:
+            prev, cur = cur, ((2.0 * p * (k - 1) + a) * cur
+                              - p * p * (k - 2) * prev) / k
+            if cur > 1e280:
+                prev /= cur
+                shift += math.log(cur)
+                cur = 1.0
+        mant[k] = cur
+        log_scale[k] = shift
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(mant) + log_scale)
 
 
 def count_visits(

@@ -285,6 +285,15 @@ def export_sweep_csv(result: SweepResult, path) -> None:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
+def make_output_dir(path) -> None:
+    """Make directory `path` and its parents; an OS refusal, such as a file
+    in the way, is a `ConfigError`."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+
+
 def write_json(path, data) -> None:
     """`data` as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
@@ -362,7 +371,7 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
     Emits `series_<tag>.csv` (step, value, exceeds) and `epdf_<tag>.csv`
     (waiting_time, probability, log-scale ready); returns summary records.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     summaries = []
     for n, gamma, eps in _grid(config):
         _, ensemble = _point_ensemble(config, n, gamma, eps, 2, realizations=1)
@@ -396,12 +405,12 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
 # Compound-Poisson visit-count check
 # ---------------------------------------------------------------------------
 
-def _tv_distance(empirical: np.ndarray, pmf) -> float:
-    """Total variation between an empirical count histogram and a pmf.
+def _tv_distance(empirical: np.ndarray, probs: np.ndarray) -> float:
+    """Total variation between an empirical count histogram and a pmf's
+    values on its support.
 
     The model's tail mass beyond the histogram support is charged in full.
     """
-    probs = np.array([pmf(k) for k in range(empirical.size)])
     tail = max(0.0, 1.0 - float(probs.sum()))
     return 0.5 * (float(np.abs(empirical - probs).sum()) + tail)
 
@@ -416,7 +425,7 @@ def run_compound_poisson_check(
 
     For each (n, gamma): estimate the strip measure and theta from one long
     trajectory, then count strip visits over `ensemble_size` independent
-    windows of rescaled length t and compare against compound_poisson_pmf
+    windows of rescaled length t and compare against compound_poisson_pmf_array
     with p = 1 - theta_hat and against poisson_pmf.
     """
     if ensemble_size < 50:
@@ -441,9 +450,9 @@ def run_compound_poisson_check(
         hist = np.bincount(counts) / counts.size
         p_hat = 1.0 - theta_hat
         tv_compound = _tv_distance(
-            hist, lambda k: evt.compound_poisson_pmf(t, p_hat, k)
-        )
-        tv_poisson = _tv_distance(hist, lambda k: evt.poisson_pmf(t, k))
+            hist, evt.compound_poisson_pmf_array(t, p_hat, hist.size))
+        tv_poisson = _tv_distance(
+            hist, np.array([evt.poisson_pmf(t, k) for k in range(hist.size)]))
         reports.append({
             "n": n, "gamma": gamma, "t": t, "accuracy": accuracy,
             "mu_strip": mu_strip, "theta_hat": theta_hat,
@@ -469,7 +478,7 @@ def run_density_figures(
     """Invariant-density histograms and diagonal traces per (n, gamma)."""
     if any(n > 3 for n in config.n_values):
         raise ConfigError("density figures support n in {2, 3} only")
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     records = []
     for n, gamma, eps in _grid(config):
         b = bins if bins is not None else (300 if n == 2 else 60)
@@ -555,7 +564,7 @@ def reproduce(figure_id: str, out_dir: str, seed: int = 0,
     byte-for-byte.
     """
     config = _figure_config(figure_id, seed, threads)
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     outputs: list[str] = []
     extra: dict = {}
     if figure_id in ("d32", "CLM_t", "CLM"):

@@ -88,3 +88,23 @@ def test_config_error_leaves_no_output(command, bad):
     assert code == EXIT_CONFIG
     assert "config error:" in err
     assert not out_exists
+
+
+@pytest.mark.parametrize("command", ["theory", "waiting-times", "density",
+                                     "reproduce"])
+def test_output_dir_under_a_file_is_config_error(command, tmp_path):
+    # `theory` makes its directory in `cli._output`; the other three in
+    # `experiments` before writing their own files
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BASES[command]))
+    argv = [command, "--config", str(cfg), "--out", str(blocker / "sub")]
+    if command == "reproduce":
+        argv.append("global_Poisson")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_CONFIG
+    assert "cannot make output directory" in err.getvalue()

@@ -11,7 +11,11 @@ from cmlsync.errors import (
     InsufficientVisitsError,
 )
 from cmlsync.evt import (
+    _gev_nll,
+    _gev_pwm_init,
+    _gpd_nll,
     compound_poisson_pmf,
+    compound_poisson_pmf_array,
     count_visits,
     extract_clusters,
     fit_gev_mle,
@@ -61,6 +65,44 @@ class TestGevFit:
         with pytest.raises(FitError):
             fit_gev_mle(np.arange(10.0))
 
+    @pytest.mark.parametrize("c, seed", [(-0.3, 1), (0.0, 2), (0.2, 3),
+                                         (0.4, 4)])
+    def test_likelihood_at_least_scipy(self, c, seed):
+        y = stats.genextreme.rvs(c=c, loc=1.0, scale=0.7, size=300,
+                                 random_state=seed)
+        shape, loc, scale = stats.genextreme.fit(y)  # scipy's c is -xi
+        fit = fit_gev_mle(y)
+        assert fit.log_likelihood >= -_gev_nll(np.array([-shape, loc, scale]),
+                                               y) - 1e-8
+
+    @pytest.mark.parametrize("c, seed", [(-0.3, 5), (0.25, 6)])
+    def test_score_vanishes(self, c, seed):
+        y = stats.genextreme.rvs(c=c, size=200, random_state=seed)
+        fit = fit_gev_mle(y)
+        x = np.array([fit.xi, fit.mu, fit.sigma])
+        assert -_gev_nll(x, y) == fit.log_likelihood
+        for j in range(3):
+            h = np.zeros(3)
+            h[j] = 1e-6 * (1.0 if j == 0 else fit.sigma)
+            score = (_gev_nll(x + h, y) - _gev_nll(x - h, y)) / (2 * h[j])
+            assert abs(score * h[j] / 1e-6) < 1e-5 * y.size
+
+    def test_gumbel_start_at_zero_shape_converges(self):
+        y = np.sort(stats.gumbel_r.rvs(size=200, random_state=9))
+        # move the largest value until the PWM ratio is Gumbel's log 2 / log 3
+        n, j = y.size, np.arange(1, y.size + 1)
+        b0 = y.mean()
+        b1 = np.sum((j - 1) / (n - 1) * y) / n
+        b2 = np.sum((j - 1) * (j - 2) / ((n - 1) * (n - 2)) * y) / n
+        r = math.log(2) / math.log(3)
+        y[-1] += n * (r * (3 * b2 - b0) - (2 * b1 - b0)) / (1 - 2 * r)
+        x0 = _gev_pwm_init(y)
+        assert x0[0] == 0.0
+        fit = fit_gev_mle(y)
+        assert math.isfinite(fit.log_likelihood)
+        assert fit.log_likelihood >= -_gev_nll(x0, y)
+        assert fit.xi != 0.0 and abs(fit.xi) < 0.2
+
 
 class TestGpdFit:
     def test_exponential_excesses_have_zero_shape(self):
@@ -77,6 +119,35 @@ class TestGpdFit:
     def test_below_threshold_rejected(self):
         with pytest.raises(DomainError):
             fit_gpd_mle(np.array([1.0, -0.5] * 30))
+
+    @pytest.mark.parametrize("c, seed", [(-0.4, 1), (-0.1, 2), (0.0, 3),
+                                         (0.3, 4), (0.8, 5)])
+    def test_likelihood_at_least_scipy(self, c, seed):
+        z = stats.genpareto.rvs(c=c, scale=2.0, size=300, random_state=seed)
+        shape, _, scale = stats.genpareto.fit(z, floc=0)
+        fit = fit_gpd_mle(z)
+        assert fit.log_likelihood >= -_gpd_nll(np.array([shape, scale]),
+                                               z) - 1e-8
+
+    @pytest.mark.parametrize("c, seed", [(-0.3, 6), (0.4, 7)])
+    def test_score_vanishes(self, c, seed):
+        z = stats.genpareto.rvs(c=c, size=200, random_state=seed)
+        fit = fit_gpd_mle(z)
+        x = np.array([fit.xi, fit.sigma])
+        assert -_gpd_nll(x, z) == fit.log_likelihood
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = 1e-6 * (1.0 if j == 0 else fit.sigma)
+            score = (_gpd_nll(x + h, z) - _gpd_nll(x - h, z)) / (2 * h[j])
+            assert abs(score * h[j] / 1e-6) < 1e-5 * z.size
+
+    @pytest.mark.parametrize("c", [-1.5, -2.0])
+    def test_optimum_at_xi_minus_one_raises(self, c):
+        # below xi = -1 the likelihood grows without bound toward the upper
+        # endpoint, so over xi > -1 it peaks at the xi = -1 end
+        z = stats.genpareto.rvs(c=c, size=200, random_state=5)
+        with pytest.raises(FitError, match="peaks at an end"):
+            fit_gpd_mle(z)
 
 
 class TestClusters:
@@ -201,8 +272,31 @@ class TestPmfs:
     def test_compound_normalizes_on_grid(self):
         for t in (0.5, 1.0, 5.0, 20.0):
             for p in np.arange(0.0, 0.95, 0.1):
-                total = sum(compound_poisson_pmf(t, p, k) for k in range(3000))
+                total = float(np.sum(compound_poisson_pmf_array(t, p, 3000)))
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_compound_array_matches_scalar(self):
+        # every k up to 50, then a geometric ladder to the grid's K = 3000
+        ks = np.unique(np.concatenate([
+            np.arange(50), np.geomspace(50, 2999, 60).astype(int)]))
+        for t in (0.5, 1.0, 5.0, 20.0):
+            for p in np.arange(0.0, 0.95, 0.1):
+                probs = compound_poisson_pmf_array(t, p, 3000)
+                for k in ks:
+                    oracle = compound_poisson_pmf(t, p, int(k))
+                    if oracle > 1e-280:
+                        assert probs[k] == pytest.approx(oracle, rel=1e-9)
+
+    def test_compound_array_survives_large_rate(self):
+        # e^{-t(1-p)} = e^{-1400} underflows; the terms near the mean do not
+        t, p = 2000.0, 0.3
+        probs = compound_poisson_pmf_array(t, p, 5000)
+        assert probs[0] == compound_poisson_pmf(t, p, 0) == 0.0
+        for k in (1500, 2000, 2500):
+            oracle = compound_poisson_pmf(t, p, k)
+            assert oracle > 0.0
+            assert probs[k] == pytest.approx(oracle, rel=1e-9)
+        assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-10)
 
     def test_compound_mean_is_rescaled_time(self):
         # cluster sizes are geometric(1-p) with mean 1/(1-p); the Poisson
