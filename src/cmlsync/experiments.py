@@ -20,7 +20,11 @@ import numpy as np
 from . import density as density_mod
 from . import evt, observables, theory
 from .errors import CmlSyncError, ConfigError, DomainError
-from .lattice import LocalMap, MapSpec, NoiseSpec, simulate_ensemble, step
+# simulate_ensemble stays importable here: bench/tracing.py wraps
+# experiments.simulate_ensemble
+from .lattice import (  # noqa: F401
+    GridPoint, LocalMap, MapSpec, NoiseSpec, lockstep_gaps, simulate_ensemble,
+    step)
 
 _LAMBDA_WARN_GAMMA = 2.0 / 3.0
 
@@ -165,86 +169,105 @@ def _grid(config: ExperimentConfig):
                 yield n, gamma, eps
 
 
-def _point_ensemble(config: ExperimentConfig, n: int, gamma: float, eps,
-                    *tag: int, realizations: int | None = None,
-                    length: int | None = None):
-    """(spec, ensemble) of one grid point from the stream keyed by (seed, n,
-    gamma key, eps key, *tag); ``eps=None`` drops the eps key and the noise,
-    as the compound-Poisson streams always have."""
-    eps_key = () if eps is None else (_eps_key(eps),)
-    seed = _point_seed(config.seed, n, _gamma_key(gamma), *eps_key, *tag)
-    spec = MapSpec(config.local_map, n, gamma)
-    ensemble = simulate_ensemble(
-        spec, realizations or config.realizations, length or config.length,
-        seed, noise=NoiseSpec(eps or 0.0), burn_in=config.burn_in,
-    )
-    return spec, ensemble
+def _n_group(config: ExperimentConfig, n: int, *tag: int,
+             noise: bool = True, realizations: int | None = None
+             ) -> list[GridPoint]:
+    """The grid points of size n, in (gamma, eps) order, each with the
+    stream keyed by (seed, n, gamma key, eps key, *tag); ``noise=False``
+    drops the eps key and the noise, as the compound-Poisson streams always
+    have."""
+    points = []
+    for gamma in config.gamma_values:
+        for eps in config.epsilons if noise else (None,):
+            eps_key = () if eps is None else (_eps_key(eps),)
+            seed = _point_seed(config.seed, n, _gamma_key(gamma), *eps_key,
+                               *tag)
+            points.append(GridPoint(gamma, 0.0 if eps is None else eps, seed,
+                                    realizations or config.realizations))
+    return points
 
 
-def _run_points(config: ExperimentConfig, worker):
-    points = list(_grid(config))
+def _observed(config: ExperimentConfig, n: int, *tag: int, **group
+              ) -> list[tuple[GridPoint, np.ndarray, np.ndarray]]:
+    """One lock-step pass over the n-group keyed by ``tag``: per grid point,
+    the point, its rows' (R, length) series of the config's observable and
+    their ``collapsed`` flags."""
+    points = _n_group(config, n, *tag, **group)
+    series, final = lockstep_gaps(
+        config.local_map, n, points, config.length, config.burn_in,
+        observables.OBSERVABLES[config.observable].value)
+    out, start = [], 0
+    for p in points:
+        rows = slice(start, start + p.realizations)
+        start = rows.stop
+        out.append((p, series[rows], _collapsed(
+            final[rows], MapSpec(config.local_map, n, p.gamma))))
+    return out
+
+
+def _map_n(config: ExperimentConfig, worker) -> list:
+    """worker(n) for every n of the grid, in order; with threads > 1 the
+    n-groups run on a pool of that many threads."""
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(worker, points))
-    else:
-        results = [worker(p) for p in points]
-    return points, results
+            return list(pool.map(worker, config.n_values))
+    return [worker(n) for n in config.n_values]
 
 
-def _collapsed(ensemble: np.ndarray, spec: MapSpec) -> np.ndarray:
+def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
     """Per realization: is its final state a bitwise fixed point of the update?
 
     Dyadic slopes shift bits out of a float until the orbit sits exactly on
     a fixed point such as 0; its observable is then +inf at every step, and
     no extremal-index estimate of it means anything.
     """
-    final = ensemble[-1]
     return np.all(step(final, spec) == final, axis=-1)
 
 
-def _ei_point(config: ExperimentConfig, point) -> list[dict]:
-    n, gamma, eps = point
-    spec, ensemble = _point_ensemble(config, n, gamma, eps)
-    try:
-        theta_theory, theta_asym = observables.OBSERVABLES[
-            config.observable].closed_form_ei(n, gamma, config.local_map)
-    except CmlSyncError:
-        theta_theory = theta_asym = None
-    collapsed = _collapsed(ensemble, spec)
+def _ei_group(config: ExperimentConfig, n: int) -> list[dict]:
     rows = []
-    for r in range(config.realizations):
-        traj = ensemble[:, r, :]
-        row = {
-            "n": n, "gamma": gamma, "epsilon": eps, "realization": r,
-            "theta_suveges": None, "theta_qk": None,
-            "theta_theory": theta_theory, "theta_asymptotic": theta_asym,
-            "xi_gpd": None, "flag": "",
-        }
-        if collapsed[r]:
-            row["flag"] = "collapsed"
-            rows.append(row)
-            continue
-        flags = []
+    for point, values, collapsed in _observed(config, n):
         try:
-            series = observables.evaluate_series(traj, config.observable)
-            u = observables.threshold_from_quantile(series, config.quantile)
-            ind = observables.exceedance_indicator(series, u)
-            row["theta_suveges"] = evt.suveges_ei(ind, config.quantile).theta
-        except CmlSyncError as exc:
-            flags.append(f"suveges:{type(exc).__name__}")
-            series = None
-        if series is not None:
-            try:
-                row["theta_qk"] = evt.qk_return_estimator(ind)[1].theta
-            except CmlSyncError as exc:
-                flags.append(f"qk:{type(exc).__name__}")
-            try:
-                row["xi_gpd"] = evt.fit_gpd_mle(series[series > u], threshold=u).xi
-            except CmlSyncError as exc:
-                flags.append(f"gpd:{type(exc).__name__}")
-        row["flag"] = ";".join(flags)
-        rows.append(row)
+            theta_theory, theta_asym = observables.OBSERVABLES[
+                config.observable].closed_form_ei(n, point.gamma,
+                                                  config.local_map)
+        except CmlSyncError:
+            theta_theory = theta_asym = None
+        for r, (series, dead) in enumerate(zip(values, collapsed)):
+            rows.append(_ei_row(config, series, dead, {
+                "n": n, "gamma": point.gamma, "epsilon": point.epsilon,
+                "realization": r, "theta_suveges": None, "theta_qk": None,
+                "theta_theory": theta_theory, "theta_asymptotic": theta_asym,
+                "xi_gpd": None, "flag": "",
+            }))
     return rows
+
+
+def _ei_row(config: ExperimentConfig, series: np.ndarray, collapsed: bool,
+            row: dict) -> dict:
+    """``row`` with the estimates of one realization's series."""
+    if collapsed:
+        row["flag"] = "collapsed"
+        return row
+    flags = []
+    try:
+        u = observables.threshold_from_quantile(series, config.quantile)
+        ind = observables.exceedance_indicator(series, u)
+        row["theta_suveges"] = evt.suveges_ei(ind, config.quantile).theta
+    except CmlSyncError as exc:
+        flags.append(f"suveges:{type(exc).__name__}")
+        series = None
+    if series is not None:
+        try:
+            row["theta_qk"] = evt.qk_return_estimator(ind)[1].theta
+        except CmlSyncError as exc:
+            flags.append(f"qk:{type(exc).__name__}")
+        try:
+            row["xi_gpd"] = evt.fit_gpd_mle(series[series > u], threshold=u).xi
+        except CmlSyncError as exc:
+            flags.append(f"gpd:{type(exc).__name__}")
+    row["flag"] = ";".join(flags)
+    return row
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -272,8 +295,8 @@ def run_ei_sweep(config: ExperimentConfig) -> SweepResult:
     One row per grid point per realization, plus mean/sd aggregate rows;
     estimator failures flag the row instead of aborting the sweep.
     """
-    _, results = _run_points(config, lambda p: _ei_point(config, p))
-    rows = [row for chunk in results for row in chunk]
+    rows = [row for group in _map_n(config, partial(_ei_group, config))
+            for row in group]
     return SweepResult(config=config, rows=rows, aggregates=_aggregate(rows))
 
 
@@ -322,32 +345,28 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
     if config.length // block_size < 30:
         raise ConfigError("length must give at least 30 blocks")
 
-    def worker(point):
-        n, gamma, eps = point
-        spec, ensemble = _point_ensemble(config, n, gamma, eps, 1)
-        collapsed = _collapsed(ensemble, spec)
+    def group(n):
+        usable = config.length - config.length % block_size
         rows = []
-        for r in range(config.realizations):
-            series = observables.evaluate_series(ensemble[:, r, :], config.observable)
-            usable = config.length - config.length % block_size
-            maxima = series[:usable].reshape(-1, block_size).max(axis=1)
-            dropped = int(np.sum(~np.isfinite(maxima)))
-            row = {"n": n, "gamma": gamma, "epsilon": eps, "realization": r,
-                   "xi": None, "mu": None, "sigma": None,
-                   "dropped_blocks": dropped, "flag": ""}
-            if collapsed[r]:
-                row["flag"] = "collapsed"
-            else:
-                try:
-                    fit = evt.fit_gev_mle(maxima[np.isfinite(maxima)])
-                    row.update(xi=fit.xi, mu=fit.mu, sigma=fit.sigma)
-                except CmlSyncError as exc:
-                    row["flag"] = f"gev:{type(exc).__name__}"
-            rows.append(row)
+        for point, values, collapsed in _observed(config, n, 1):
+            for r, (series, dead) in enumerate(zip(values, collapsed)):
+                maxima = series[:usable].reshape(-1, block_size).max(axis=1)
+                dropped = int(np.sum(~np.isfinite(maxima)))
+                row = {"n": n, "gamma": point.gamma, "epsilon": point.epsilon,
+                       "realization": r, "xi": None, "mu": None,
+                       "sigma": None, "dropped_blocks": dropped, "flag": ""}
+                if dead:
+                    row["flag"] = "collapsed"
+                else:
+                    try:
+                        fit = evt.fit_gev_mle(maxima[np.isfinite(maxima)])
+                        row.update(xi=fit.xi, mu=fit.mu, sigma=fit.sigma)
+                    except CmlSyncError as exc:
+                        row["flag"] = f"gev:{type(exc).__name__}"
+                rows.append(row)
         return rows
 
-    _, results = _run_points(config, worker)
-    rows = [row for chunk in results for row in chunk]
+    rows = [row for rows in _map_n(config, group) for row in rows]
     return SweepResult(config=config, rows=rows)
 
 
@@ -373,31 +392,31 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
     """
     make_output_dir(out_dir)
     summaries = []
-    for n, gamma, eps in _grid(config):
-        _, ensemble = _point_ensemble(config, n, gamma, eps, 2, realizations=1)
-        series = observables.evaluate_series(ensemble[:, 0, :], config.observable)
-        u = observables.threshold_from_quantile(series, config.quantile)
-        ind = observables.exceedance_indicator(series, u)
-        stats = evt.extract_clusters(ind)
-        epdf = evt.waiting_time_epdf(stats)
-        tag = f"n{n}_g{_gamma_key(gamma)}_e{_eps_key(eps)}"
-        series_path = os.path.join(out_dir, f"series_{tag}.csv")
-        with open(series_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "value", "exceeds"])
-            for k, (v, e) in enumerate(zip(series, ind)):
-                writer.writerow([k, _fmt(float(v)), int(e)])
-        epdf_path = os.path.join(out_dir, f"epdf_{tag}.csv")
-        evt.export_epdf_csv(epdf, epdf_path)
-        mass_at_1 = epdf.get(1, 0.0)
-        summaries.append({
-            "n": n, "gamma": gamma, "epsilon": eps, "threshold": u,
-            "exceedances": int(stats.exceedance_count),
-            "clusters": int(stats.cluster_count),
-            "epdf_mass_at_1": mass_at_1,
-            "series_csv": os.path.basename(series_path),
-            "epdf_csv": os.path.basename(epdf_path),
-        })
+    for n in config.n_values:
+        for point, (series,), _ in _observed(config, n, 2, realizations=1):
+            gamma, eps = point.gamma, point.epsilon
+            u = observables.threshold_from_quantile(series, config.quantile)
+            ind = observables.exceedance_indicator(series, u)
+            stats = evt.extract_clusters(ind)
+            epdf = evt.waiting_time_epdf(stats)
+            tag = f"n{n}_g{_gamma_key(gamma)}_e{_eps_key(eps)}"
+            series_path = os.path.join(out_dir, f"series_{tag}.csv")
+            with open(series_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["step", "value", "exceeds"])
+                for k, (v, e) in enumerate(zip(series, ind)):
+                    writer.writerow([k, _fmt(float(v)), int(e)])
+            epdf_path = os.path.join(out_dir, f"epdf_{tag}.csv")
+            evt.export_epdf_csv(epdf, epdf_path)
+            mass_at_1 = epdf.get(1, 0.0)
+            summaries.append({
+                "n": n, "gamma": gamma, "epsilon": eps, "threshold": u,
+                "exceedances": int(stats.exceedance_count),
+                "clusters": int(stats.cluster_count),
+                "epdf_mass_at_1": mass_at_1,
+                "series_csv": os.path.basename(series_path),
+                "epdf_csv": os.path.basename(epdf_path),
+            })
     return summaries
 
 
@@ -432,35 +451,47 @@ def run_compound_poisson_check(
         raise ConfigError("ensemble_size must be >= 50")
     if any(eps != 0.0 for eps in config.epsilons):
         raise ConfigError("compound-Poisson check is a deterministic protocol")
+    # the strip is evt.strip_indicator's: a global-sync gap <= accuracy
+    spread = observables.OBSERVABLES["global_sync"].gap
     reports = []
-    for n, gamma, _ in _grid(config):
-        _, ensemble = _point_ensemble(config, n, gamma, None, 3, realizations=1)
-        ind = evt.strip_indicator(ensemble[:, 0, :], accuracy)
-        mu_strip = float(np.mean(ind))
-        if mu_strip == 0.0:
-            raise DomainError(
-                f"no strip visits at accuracy {accuracy}; lengthen the run"
-            )
-        theta_hat = evt.suveges_ei(ind, 1.0 - mu_strip).theta
-        horizon = int(t / mu_strip)
-        _, windows = _point_ensemble(config, n, gamma, None, 4,
-                                     realizations=ensemble_size,
-                                     length=horizon + 1)
-        counts = np.sum(evt.strip_indicator(windows[1:], accuracy), axis=0)
-        hist = np.bincount(counts) / counts.size
-        p_hat = 1.0 - theta_hat
-        tv_compound = _tv_distance(
-            hist, evt.compound_poisson_pmf_array(t, p_hat, hist.size))
-        tv_poisson = _tv_distance(
-            hist, np.array([evt.poisson_pmf(t, k) for k in range(hist.size)]))
-        reports.append({
-            "n": n, "gamma": gamma, "t": t, "accuracy": accuracy,
-            "mu_strip": mu_strip, "theta_hat": theta_hat,
-            "horizon": horizon, "ensemble_size": ensemble_size,
-            "empirical_pmf": [float(h) for h in hist],
-            "tv_compound_poisson": tv_compound,
-            "tv_poisson": tv_poisson,
-        })
+    for n in config.n_values:
+        points = _n_group(config, n, 3, noise=False, realizations=1)
+        windows = _n_group(config, n, 4, noise=False,
+                           realizations=ensemble_size)
+        gaps, _ = lockstep_gaps(config.local_map, n, points, config.length,
+                                config.burn_in, spread)
+        for gamma, window, gap in zip(config.gamma_values, windows, gaps):
+            ind = gap <= accuracy
+            mu_strip = float(np.mean(ind))
+            if mu_strip == 0.0:
+                raise DomainError(
+                    f"no strip visits at accuracy {accuracy}; lengthen the run"
+                )
+            theta_hat = evt.suveges_ei(ind, 1.0 - mu_strip).theta
+            horizon = int(t / mu_strip)
+            # strip visits per window over steps 1..horizon, counted per chunk
+            counts = np.zeros(ensemble_size, dtype=np.int64)
+
+            def fold(chunk_gaps, start):
+                hits = chunk_gaps[1:] if start == 0 else chunk_gaps  # 0: start
+                counts[:] += np.sum(hits <= accuracy, axis=0)
+
+            lockstep_gaps(config.local_map, n, [window], horizon + 1,
+                          config.burn_in, spread, fold)
+            hist = np.bincount(counts) / counts.size
+            p_hat = 1.0 - theta_hat
+            tv_compound = _tv_distance(
+                hist, evt.compound_poisson_pmf_array(t, p_hat, hist.size))
+            tv_poisson = _tv_distance(
+                hist, np.array([evt.poisson_pmf(t, k) for k in range(hist.size)]))
+            reports.append({
+                "n": n, "gamma": gamma, "t": t, "accuracy": accuracy,
+                "mu_strip": mu_strip, "theta_hat": theta_hat,
+                "horizon": horizon, "ensemble_size": ensemble_size,
+                "empirical_pmf": [float(h) for h in hist],
+                "tv_compound_poisson": tv_compound,
+                "tv_poisson": tv_poisson,
+            })
     return reports
 
 

@@ -172,23 +172,26 @@ _ONE = np.array(1.0)
 _MAX_ENSEMBLE_BYTES = 1_600_000_000  # the ~1.6 GB scale of density._MAX_CELLS
 _NOISE_BLOCK_STEPS = 256
 _NOISE_BLOCK_ELEMENTS = 1 << 16  # 512 kB of noise per draw at most
+_CHUNK_ELEMENTS = 1 << 15  # 256 kB of float64 states per lock-step chunk
 
 
-def _lattice_update(spec: MapSpec, shape: tuple[int, ...]):
+def _lattice_update(local_map: LocalMap, keep: np.ndarray, share: np.ndarray,
+                    shape: tuple[int, ...]):
     """The deterministic update as ``update(src, dst)``: dst = T_hat(src).
 
     Works on arrays of ``shape`` (..., n) without checking them: src must
-    lie in [0, 1) and dst must not alias src.  A full-branch map
+    lie in [0, 1) and dst must not alias src.  ``keep`` and ``share`` are
+    the mix weights (1 - gamma, gamma / n), 0-d for one coupling or (R, 1)
+    columns for R rows with their own; a row with gamma = 0 mixes with 1.0
+    and 0.0, which gives its T values bit for bit.  A full-branch map
     x -> s x mod 1 takes ``y = s x; y -= floor(y)``, which equals the branch
     form ``mod(s x - i, 1)`` of `LocalMap.__call__` bit for bit, because
     ``s x - i`` is exact; any other `LocalMap` takes the branch lookup.
     """
-    lmap = spec.local_map
-    full_slope = lmap._full_branch_slope
+    full_slope = local_map._full_branch_slope
     # 0-d arrays: ufuncs take them faster than Python floats
     slope = np.array(float(full_slope or 0))
-    keep, share = _mix_weights(spec)
-    coupled = spec.gamma != 0.0
+    coupled = np.any(share != 0.0)
     scratch = np.empty(shape)
     over = np.empty(shape, dtype=bool)
 
@@ -198,7 +201,7 @@ def _lattice_update(spec: MapSpec, shape: tuple[int, ...]):
             np.floor(dst, out=scratch)
             np.subtract(dst, scratch, out=dst)
         else:
-            dst[...] = lmap._unchecked(src)
+            dst[...] = local_map._unchecked(src)
         if not coupled:
             return  # gamma = 0: the mix 1.0 * y + 0.0 is y, bit for bit
         # np.add.reduce is the reduction np.sum(y, axis=-1, keepdims=True)
@@ -233,11 +236,53 @@ def _kick(dst: np.ndarray, kick: np.ndarray) -> None:
     """Add the noise kick eps * omega to dst in place, mod 1.
 
     ``y - floor(y)`` rounds once, as ``np.mod(y, 1.0)`` does, to the same
-    value.  It gives 1.0 for a sum a hair below 0; that wraps to 0.
+    value.  It gives 1.0 for a sum a hair below 0; that wraps to 0.  A kick
+    of 0.0 leaves dst as it is, bit for bit.
     """
     np.add(dst, kick, out=dst)
     np.subtract(dst, np.floor(dst), out=dst)
     np.copyto(dst, 0.0, where=dst >= _ONE)
+
+
+def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray
+             ) -> np.ndarray:
+    """The lattice kernel behind every time loop of the package.
+
+    Fills ``out`` (length, R, n) with the orbit of the checked (R, n)
+    states ``x`` under ``update``: row 0 is the state ``burn_in`` steps
+    after ``x``, row k the k-th state after that.  ``draw(steps)`` returns
+    the (steps, R, n) noise kicks of the next ``steps`` steps, or is None
+    for a noise-free orbit; it is called once per block of steps, and never
+    for a step past the last row.
+    """
+    block = max(1, min(_NOISE_BLOCK_STEPS, _NOISE_BLOCK_ELEMENTS // x.size))
+    work = np.empty((2,) + x.shape)  # burn-in states, alternating
+    prev = work[0]
+    prev[...] = x
+    if burn_in == 0:
+        out[0] = prev
+    steps = burn_in + len(out) - 1
+    done = 0
+    while done < steps:
+        todo = min(block, steps - done)
+        kicks = None if draw is None else draw(todo)
+        for j in range(todo):
+            t = done + j + 1  # the step that produces this state
+            dst = out[t - burn_in] if t >= burn_in else work[t & 1]
+            update(prev, dst)
+            if kicks is not None:
+                _kick(dst, kicks[j])
+            prev = dst
+        done += todo
+    return out
+
+
+def _check_budget(need: int, what: str) -> None:
+    if need > _MAX_ENSEMBLE_BYTES:
+        raise MemoryBudgetError(
+            f"{what} needs {need / 1e9:.2f} GB, over the "
+            f"{_MAX_ENSEMBLE_BYTES / 1e9:.1f} GB budget"
+        )
 
 
 def _orbit(
@@ -249,10 +294,9 @@ def _orbit(
     burn_in: int = 0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The lattice kernel behind every time loop of the package.
+    """The (length, R, n) orbit of the (R, n) states ``x`` under one spec.
 
-    Returns the orbit of the (R, n) states ``x`` as a (length, R, n) array:
-    row 0 is the state ``burn_in`` steps after ``x``, row k the k-th state
+    Row 0 is the state ``burn_in`` steps after ``x``, row k the k-th state
     after that.  The states are checked once here, and every step runs
     unchecked.  Noise is drawn in blocks of steps with one
     ``rng.uniform(-0.5, 0.5, size=(block, R, n))`` call, which consumes the
@@ -265,45 +309,113 @@ def _orbit(
         raise DomainError("need length >= 1 and burn-in >= 0")
     realizations, n = x.shape
     if out is None:
-        need = length * realizations * n * 8
-        if need > _MAX_ENSEMBLE_BYTES:
-            raise MemoryBudgetError(
-                f"ensemble of {length} x {realizations} x {n} states needs "
-                f"{need / 1e9:.2f} GB, over the "
-                f"{_MAX_ENSEMBLE_BYTES / 1e9:.1f} GB budget"
-            )
+        _check_budget(length * realizations * n * 8,
+                      f"ensemble of {length} x {realizations} x {n} states")
         out = np.empty((length, realizations, n))
-    update = _lattice_update(spec, x.shape)
     eps = noise.epsilon
-    block = max(1, min(_NOISE_BLOCK_STEPS, _NOISE_BLOCK_ELEMENTS // x.size))
-    work = np.empty((2, realizations, n))  # burn-in states, alternating
-    prev = work[0]
-    prev[...] = x
-    if burn_in == 0:
-        out[0] = prev
-    steps = burn_in + length - 1
-    done = 0
-    while done < steps:
-        todo = min(block, steps - done)
-        if eps != 0.0:
-            kicks = rng.uniform(-0.5, 0.5, size=(todo, realizations, n))
-            np.multiply(kicks, eps, out=kicks)
-        for j in range(todo):
-            t = done + j + 1  # the step that produces this state
-            dst = out[t - burn_in] if t >= burn_in else work[t & 1]
-            update(prev, dst)
-            if eps != 0.0:
-                _kick(dst, kicks[j])
-            prev = dst
-        done += todo
-    return out
+    draw = None
+    if eps != 0.0:
+        def draw(steps):
+            kicks = rng.uniform(-0.5, 0.5, size=(steps, realizations, n))
+            return np.multiply(kicks, eps, out=kicks)
+    update = _lattice_update(spec.local_map, *_mix_weights(spec), x.shape)
+    return _advance(update, x, burn_in, draw, out)
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One grid point of a `lockstep_gaps` pass: ``realizations`` rows with
+    coupling ``gamma`` and noise ``epsilon``, whose start states and kicks
+    come from the stream of ``seed`` exactly as in `simulate_ensemble`."""
+
+    gamma: float
+    epsilon: float
+    seed: int
+    realizations: int
+
+
+def lockstep_gaps(
+    local_map: LocalMap,
+    n: int,
+    points: list[GridPoint],
+    length: int,
+    burn_in: int,
+    gap,
+    fold=None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Every point's orbits in one lock-step pass, reduced to one value per
+    row and step on the fly.
+
+    All rows of all ``points`` advance in one (R_total, n) array, rows in
+    point order; each row mixes with its own point's weights, and each
+    noisy point adds the kicks of its own stream to its own rows.  So each
+    point's rows hold, bit for bit, the orbits of
+    ``simulate_ensemble(MapSpec(local_map, n, gamma), realizations, length,
+    seed, NoiseSpec(epsilon), burn_in)``.  The orbit streams through one
+    reused buffer of about `_CHUNK_ELEMENTS` states, and ``gap(chunk)``
+    maps each chunk (m, R_total, n) to (m, R_total) values.
+
+    Returns ``(series, final)``: ``series`` (R_total, length) holds every
+    row's values, and ``final`` (R_total, n) the last states.  With
+    ``fold``, ``fold(values, start)`` receives each chunk's values and the
+    orbit index of its first row instead, and ``series`` is None.  What the
+    pass holds, the series (unless folded), the chunk buffer and the
+    states, must fit `_MAX_ENSEMBLE_BYTES`; it is checked before anything
+    is allocated.
+    """
+    if length < 1 or burn_in < 0 or not points:
+        raise DomainError("need length >= 1, burn-in >= 0 and a grid point")
+    specs = [MapSpec(local_map, n, p.gamma) for p in points]
+    noises = [NoiseSpec(p.epsilon) for p in points]
+    rows = sum(p.realizations for p in points)
+    per_chunk = max(1, min(length, _CHUNK_ELEMENTS // (rows * n)))
+    _check_budget(
+        ((per_chunk + 1) * n + (length if fold is None else 0)) * rows * 8,
+        f"lock-step pass of {rows} rows x {n} sites over {length} steps")
+    rngs = [_rng_for(p.seed) for p in points]
+    x = validate_state(np.concatenate(
+        [rng.uniform(0.0, 1.0, size=(p.realizations, n))
+         for rng, p in zip(rngs, points)]), n)
+    weights = np.repeat([_mix_weights(s) for s in specs],
+                        [p.realizations for p in points], axis=0)
+    keep, share = weights[:, :1].copy(), weights[:, 1:].copy()
+    noisy = []  # (rows, stream, eps) of each noisy point
+    start = 0
+    for p, rng, noise in zip(points, rngs, noises):
+        if noise.epsilon != 0.0:
+            noisy.append((slice(start, start + p.realizations), rng,
+                          noise.epsilon))
+        start += p.realizations
+    draw = None
+    if noisy:
+        def draw(steps):
+            kicks = np.zeros((steps, rows, n))  # 0.0 leaves a row as it is
+            for sl, rng, eps in noisy:
+                k = kicks[:, sl]
+                k[...] = rng.uniform(-0.5, 0.5, size=k.shape)
+                np.multiply(k, eps, out=k)
+            return kicks
+    update = _lattice_update(local_map, keep, share, x.shape)
+    series = np.empty((rows, length)) if fold is None else None
+    chunk = np.empty((per_chunk, rows, n))
+    skip = burn_in
+    for start in range(0, length, per_chunk):
+        m = min(per_chunk, length - start)
+        states = _advance(update, x, skip, draw, chunk[:m])
+        values = gap(states)
+        if fold is None:
+            series[:, start:start + m] = values.T
+        else:
+            fold(values, start)
+        x, skip = states[-1], 1
+    return series, x.copy()
 
 
 def step(state: np.ndarray, spec: MapSpec) -> np.ndarray:
     """One deterministic lattice update.  Works on (..., n) arrays."""
     state = validate_state(state, spec.n)
     out = np.empty_like(state)
-    _lattice_update(spec, state.shape)(state, out)
+    _lattice_update(spec.local_map, *_mix_weights(spec), state.shape)(state, out)
     return out
 
 

@@ -66,6 +66,10 @@ class Observable:
     gap: Callable[..., np.ndarray]
     ei_sites: Callable[[int], int] | None = None
 
+    def value(self, states, **kwargs):
+        """-log(gap) of states (..., n); +inf where the gap is 0."""
+        return _neg_log(self.gap(states, **kwargs))
+
     def closed_form_ei(self, n: int, gamma: float, local_map):
         """(theta_theory, theta_asymptotic) from the flat trace, or Nones;
         raises HypothesisViolationError unless gamma < 1 - lambda."""
@@ -155,7 +159,7 @@ def evaluate_series(trajectory: np.ndarray, kind: str, **kwargs) -> np.ndarray:
     gaps), ``localization`` (``target=``) or ``block_sync`` (``blocks=``).
     """
     if kind in OBSERVABLES:
-        return _neg_log(OBSERVABLES[kind].gap(trajectory, **kwargs))
+        return OBSERVABLES[kind].value(trajectory, **kwargs)
     if kind == "localization":
         return eval_localization(trajectory, **kwargs)
     if kind == "block_sync":

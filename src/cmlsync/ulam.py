@@ -101,7 +101,8 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
     coords = (np.arange(k) / k)[:, None] + ((np.arange(s) + 0.5) / s / k)[None, :]
     # the uncoupled update applies T at every site, here to each coordinate
     local = np.empty_like(coords)
-    _lattice_update(MapSpec(spec.local_map, 2, 0.0), coords.shape)(coords, local)
+    _lattice_update(spec.local_map, *_mix_weights(MapSpec(spec.local_map, 2, 0.0)),
+                    coords.shape)(coords, local)
     keep, share = _mix_weights(spec)
     # value of `count` samples: the sequential sum of `count` weights
     table = np.cumsum(np.full(ss, 1.0 / ss))
@@ -170,37 +171,6 @@ def invariant_density_ulam(
             return w
         v = w
     raise ConvergenceError("power iteration for the invariant density stalled")
-
-
-def second_eigenvalue_modulus(
-    op: UlamOperator,
-    invariant: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> float:
-    """Second-largest eigenvalue modulus by power iteration with deflation.
-
-    The leading pair (left eigenvector = invariant, right eigenvector = 1)
-    is projected out each sweep; the growth rate of what remains witnesses
-    the spectral gap.
-    """
-    rng = np.random.default_rng(7)
-    w = rng.standard_normal(op.cells)
-    w -= w.sum() * invariant  # remove the leading component
-    norm = float(np.abs(w).sum())
-    w /= norm
-    lam = 0.0
-    for _ in range(max_iter):
-        z = op.transposed @ w
-        z -= z.sum() * invariant
-        new_lam = float(np.abs(z).sum())
-        if new_lam == 0.0:
-            return 0.0
-        z /= new_lam
-        if abs(new_lam - lam) < tol:
-            return new_lam
-        lam, w = new_lam, z
-    raise ConvergenceError("power iteration for the second eigenvalue stalled")
 
 
 def make_perturbed(op: UlamOperator, nu: float) -> PerturbedOperator:

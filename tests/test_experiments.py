@@ -6,10 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from cmlsync import lattice
 from cmlsync.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from cmlsync.errors import ConfigError
+from cmlsync.errors import ConfigError, MemoryBudgetError
+from cmlsync.evt import strip_indicator, suveges_ei
 from cmlsync.experiments import (
     ExperimentConfig,
+    _gamma_key,
     _point_seed,
     export_gev_csv,
     export_sweep_csv,
@@ -21,6 +24,7 @@ from cmlsync.experiments import (
     run_gev_sweep,
     run_waiting_time_report,
 )
+from cmlsync.lattice import MapSpec, simulate_ensemble
 
 
 def small_config(**kw):
@@ -165,6 +169,19 @@ class TestFloatCollapse:
             assert row["flag"] == "collapsed"
             assert row["xi"] is None and row["sigma"] is None
 
+    def test_flag_lands_on_the_collapsing_point_only(self):
+        # One pass per n: the gamma = 0.3 rows and the noisy gamma = 0 rows
+        # share it with the noiseless gamma = 0 rows, which alone collapse.
+        cfg = small_config(slope=2, n_values=(2, 3), gamma_values=(0.3, 0.0),
+                           epsilons=(0.0, 1e-2), burn_in=0, length=4000)
+        for result, estimate in ((run_ei_sweep(cfg), "theta_suveges"),
+                                 (run_gev_sweep(cfg), "xi")):
+            assert len(result.rows) == 2 * 2 * 2 * 3
+            for row in result.rows:
+                dead = row["gamma"] == 0.0 and row["epsilon"] == 0.0
+                assert (row["flag"] == "collapsed") == dead
+                assert (row[estimate] is None) == dead
+
     def test_slope_three_never_flagged(self):
         result = run_ei_sweep(small_config(gamma_values=(0.0, 0.5)))
         assert not any("collapsed" in row["flag"] for row in result.rows)
@@ -220,6 +237,37 @@ class TestCompoundPoisson:
     def test_rejects_noise(self):
         with pytest.raises(ConfigError):
             run_compound_poisson_check(small_config(epsilons=(1e-2,)))
+
+    def test_windows_stream_within_budget(self, monkeypatch):
+        cfg = small_config(gamma_values=(0.0, 0.3), length=20_000)
+        accuracy, t, size = 2e-2, 50.0, 60
+        # reference: whole windows of states from one ensemble per point
+        expect, largest = [], 0
+        for gamma in cfg.gamma_values:
+            spec = MapSpec(cfg.local_map, 2, gamma)
+            key = (cfg.seed, 2, _gamma_key(gamma))
+            orbit = simulate_ensemble(spec, 1, cfg.length, _point_seed(*key, 3),
+                                      burn_in=cfg.burn_in)
+            ind = strip_indicator(orbit[:, 0, :], accuracy)
+            mu = float(np.mean(ind))
+            horizon = int(t / mu)
+            windows = simulate_ensemble(spec, size, horizon + 1,
+                                        _point_seed(*key, 4),
+                                        burn_in=cfg.burn_in)
+            counts = np.sum(strip_indicator(windows[1:], accuracy), axis=0)
+            expect.append((mu, suveges_ei(ind, 1.0 - mu).theta, horizon,
+                           [float(h) for h in np.bincount(counts) / size]))
+            largest = max(largest, windows.nbytes)
+        # a budget the windows overrun, but one chunk of them fits
+        budget = 700_000
+        assert largest > budget
+        monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget)
+        with pytest.raises(MemoryBudgetError):
+            simulate_ensemble(MapSpec(cfg.local_map, 2, 0.3), size,
+                              largest // (size * 2 * 8), 0)
+        reports = run_compound_poisson_check(cfg, accuracy, t, size)
+        assert [(r["mu_strip"], r["theta_hat"], r["horizon"],
+                 r["empirical_pmf"]) for r in reports] == expect
 
 
 class TestDensityFigures:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlsync import density
+from cmlsync import density, lattice
 from cmlsync.density import estimate_density
 from cmlsync.errors import BoundaryError, DomainError, MemoryBudgetError
+from cmlsync.observables import OBSERVABLES
 from cmlsync.lattice import (
     _NOISE_BLOCK_STEPS,
+    GridPoint,
     LocalMap,
     MapSpec,
     NoiseSpec,
@@ -20,6 +22,7 @@ from cmlsync.lattice import (
     coupling_matrix,
     export_trajectory_csv,
     jacobian_det,
+    lockstep_gaps,
     simulate,
     simulate_ensemble,
     step,
@@ -388,3 +391,75 @@ class TestKernelOracle:
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+
+# ---------------------------------------------------------------------------
+# The lock-step pass against one simulate_ensemble per grid point
+# ---------------------------------------------------------------------------
+
+SPREAD = OBSERVABLES["global_sync"].gap
+PASS_CHUNK_ELEMENTS = 96  # a few steps per chunk, so the pass resumes often
+
+
+def mixed_with_zero(nonzero):
+    """Lists holding 0.0 and at least one nonzero value, in any order."""
+    return st.lists(nonzero, min_size=1, max_size=2, unique=True).flatmap(
+        lambda xs: st.permutations([0.0] + xs))
+
+
+class TestLockstepPass:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 6),
+           mixed_with_zero(st.sampled_from([0.1, 0.3, 0.45, 0.6])),
+           mixed_with_zero(st.sampled_from([1e-4, 1e-2, 0.3])),
+           st.integers(1, 5), st.integers(0, 2**32), st.data())
+    def test_matches_simulate_ensemble(self, slope, n, gammas, epsilons, r,
+                                       seed, data):
+        local_map = LocalMap.affine_mod1(slope)
+        points = [GridPoint(g, e, seed + i, r) for i, (g, e) in enumerate(
+            (g, e) for g in gammas for e in epsilons)]
+        per_chunk = max(1, PASS_CHUNK_ELEMENTS // (len(points) * r * n))
+        burn_in = data.draw(st.sampled_from(
+            [0, per_chunk // 2 + 1, per_chunk + 3]), label="burn_in")
+        length = data.draw(st.sampled_from(
+            [1, per_chunk, per_chunk + 1, 3 * per_chunk + 2]), label="length")
+        folded = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_CHUNK_ELEMENTS", PASS_CHUNK_ELEMENTS)
+            series, final = lockstep_gaps(local_map, n, points, length,
+                                          burn_in, SPREAD)
+            none, again = lockstep_gaps(
+                local_map, n, points, length, burn_in, SPREAD,
+                lambda values, start: folded.append((start, values.copy())))
+        expect = [simulate_ensemble(MapSpec(local_map, n, p.gamma), r, length,
+                                    p.seed, NoiseSpec(p.epsilon), burn_in)
+                  for p in points]
+        assert same_bits(series, np.concatenate([SPREAD(e).T for e in expect]))
+        assert same_bits(final, np.concatenate([e[-1] for e in expect]))
+        # folding sees the same values, chunk by chunk, and keeps no series
+        assert none is None and same_bits(again, final)
+        assert [start for start, _ in folded] == list(
+            range(0, length, per_chunk))
+        assert same_bits(np.concatenate([v for _, v in folded]), series.T)
+
+    def test_budget_raises_before_allocating(self, tripling):
+        # 1000 rows x 10^6 steps of series: 8 GB, though the states are small
+        points = [GridPoint(0.1, 0.0, 0, 1000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="lock-step pass"):
+                lockstep_gaps(tripling, 2, points, 10**6, 0, SPREAD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_rejects_bad_points(self, tripling):
+        with pytest.raises(DomainError):
+            lockstep_gaps(tripling, 2, [], 10, 0, SPREAD)
+        with pytest.raises(DomainError):
+            lockstep_gaps(tripling, 2, [GridPoint(1.0, 0.0, 0, 1)], 10, 0,
+                          SPREAD)
+        with pytest.raises(DomainError):
+            lockstep_gaps(tripling, 2, [GridPoint(0.1, -1.0, 0, 1)], 10, 0,
+                          SPREAD)
