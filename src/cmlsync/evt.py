@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaln, logsumexp
 
 from . import observables
 from .errors import (
@@ -32,6 +30,7 @@ _NEWTON_MAXITER = 100
 _NEWTON_XTOL = 1e-10  # Newton step, in the solver's O(1) units
 _FD_STEP = 1e-7       # forward-difference step of the GEV Hessian
 _GPD_LAM_MAX = 700.0  # log1p(t max z) stays below exp overflow
+_BRENT_RTOL = 4 * math.ulp(1.0)  # scipy's default rtol for brentq
 
 
 @dataclass
@@ -282,6 +281,152 @@ def _gpd_profile(lam: float, w: np.ndarray, top: int) -> tuple[float, float]:
     return xi, xi / tm
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` between ``xa`` and ``xb`` by Brent's method.
+
+    A line-for-line port of ``scipy.optimize.brentq`` (scipy's
+    ``optimize/Zeros/brentq.c``, BSD-3-Clause): the same operations in the
+    same order, so it returns the same float.  Where scipy raises
+    ValueError (ends of one sign, a NaN value) or RuntimeError (no
+    convergence in ``maxiter`` steps), this raises `FitError`.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise FitError(f"root search: the function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise FitError("root search: f(a) and f(b) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise FitError(f"root search did not converge in {maxiter} steps")
+
+
+def _fminbound(func, a: float, b: float, xatol: float,
+               maxiter: int = 500) -> tuple[float, float, bool]:
+    """Minimum of ``func`` on the finite interval [a, b] by Brent's bounded
+    method; returns (x, func(x), ok).
+
+    A port of scipy's ``optimize._optimize._minimize_scalar_bounded``
+    (BSD-3-Clause), which ``minimize_scalar(method="bounded")`` runs, with
+    ``math`` in place of its numpy scalar calls: it returns the same floats
+    as ``res.x`` and ``res.fun``, and ``ok`` is ``res.success``, False when
+    ``maxiter`` evaluations are spent or a value is NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    ok = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            ok = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        ok = False
+    return xf, fx, ok
+
+
 def fit_gpd_mle(values, threshold: float | None = None,
                 min_samples: int = 30) -> EvtFitResult:
     """GPD fit on excesses over a threshold, by a bounded 1-D search.
@@ -326,18 +471,17 @@ def fit_gpd_mle(values, threshold: float | None = None,
         xi, s = _gpd_profile(lam, w, top)
         return math.log(s) + 1.0 + xi
 
-    lo = brentq(lambda lam: _gpd_profile(lam, w, top)[0] + 1.0, -n / top, 0.0,
-                xtol=1e-12)
+    lo = _brentq(lambda lam: _gpd_profile(lam, w, top)[0] + 1.0, -n / top, 0.0,
+                 xtol=1e-12)
     w_min = float(np.min(z)) / z_max
     log_t_bound = math.log(2.0 * (mean / z_max - w_min)) - 2.0 * math.log(w_min)
     hi = min(float(np.logaddexp(0.0, log_t_bound)), _GPD_LAM_MAX)
-    res = minimize_scalar(profile_nll, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10, "maxiter": 500})
-    if not res.success:
-        raise FitError(f"GPD profile search failed: {res.message}")
-    if not res.fun < min(profile_nll(lo), profile_nll(hi)):
+    lam, f_min, ok = _fminbound(profile_nll, lo, hi, xatol=1e-10)
+    if not ok:
+        raise FitError("GPD profile search hit its evaluation cap or a NaN")
+    if not f_min < min(profile_nll(lo), profile_nll(hi)):
         raise FitError("GPD likelihood peaks at an end of the xi > -1 region")
-    xi, s = _gpd_profile(float(res.x), w, top)
+    xi, s = _gpd_profile(lam, w, top)
     sigma = s * z_max
     nll = _gpd_nll(np.array([xi, sigma]), z)
     if not np.isfinite(nll):
@@ -493,7 +637,7 @@ def poisson_pmf(t: float, k: int) -> float:
         raise DomainError("t and k must be nonnegative")
     if t == 0.0:
         return 1.0 if k == 0 else 0.0
-    return float(math.exp(k * math.log(t) - t - gammaln(k + 1)))
+    return math.exp(k * math.log(t) - t - math.lgamma(k + 1))
 
 
 def compound_poisson_pmf(t: float, p: float, k: int) -> float:
@@ -517,15 +661,18 @@ def compound_poisson_pmf(t: float, p: float, k: int) -> float:
         return poisson_pmf(t, k)
     if t == 0.0:
         return 0.0
+    lg = np.array([math.lgamma(i) for i in range(1, k + 2)])  # log (i-1)!
     j = np.arange(1, k + 1)
     log_terms = (
-        gammaln(k) - gammaln(j) - gammaln(k - j + 1)  # log C(k-1, j-1)
+        lg[k - 1] - lg[j - 1] - lg[k - j]  # log C(k-1, j-1)
         + (k - j) * math.log(p)
         + 2.0 * j * math.log1p(-p)
         + j * math.log(t)
-        - gammaln(j + 1)
+        - lg[j]  # log j!
     )
-    return float(math.exp(-t * (1.0 - p) + logsumexp(log_terms)))
+    top = float(np.max(log_terms))
+    log_sum = top + math.log(float(np.sum(np.exp(log_terms - top))))
+    return math.exp(-t * (1.0 - p) + log_sum)
 
 
 def compound_poisson_pmf_array(t: float, p: float, size: int) -> np.ndarray:

@@ -445,7 +445,9 @@ def run_compound_poisson_check(
     For each (n, gamma): estimate the strip measure and theta from one long
     trajectory, then count strip visits over `ensemble_size` independent
     windows of rescaled length t and compare against compound_poisson_pmf_array
-    with p = 1 - theta_hat and against poisson_pmf.
+    with p = 1 - theta_hat and against poisson_pmf.  Each record carries
+    ``strip_visits``, the long trajectory's strip hits that mu_strip and
+    theta_hat rest on.
     """
     if ensemble_size < 50:
         raise ConfigError("ensemble_size must be >= 50")
@@ -462,8 +464,9 @@ def run_compound_poisson_check(
                                 config.burn_in, spread)
         for gamma, window, gap in zip(config.gamma_values, windows, gaps):
             ind = gap <= accuracy
-            mu_strip = float(np.mean(ind))
-            if mu_strip == 0.0:
+            strip_visits = int(np.count_nonzero(ind))
+            mu_strip = strip_visits / ind.size
+            if strip_visits == 0:
                 raise DomainError(
                     f"no strip visits at accuracy {accuracy}; lengthen the run"
                 )
@@ -486,7 +489,8 @@ def run_compound_poisson_check(
                 hist, np.array([evt.poisson_pmf(t, k) for k in range(hist.size)]))
             reports.append({
                 "n": n, "gamma": gamma, "t": t, "accuracy": accuracy,
-                "mu_strip": mu_strip, "theta_hat": theta_hat,
+                "strip_visits": strip_visits, "mu_strip": mu_strip,
+                "theta_hat": theta_hat,
                 "horizon": horizon, "ensemble_size": ensemble_size,
                 "empirical_pmf": [float(h) for h in hist],
                 "tv_compound_poisson": tv_compound,

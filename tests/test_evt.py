@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special, stats
 
+from cmlsync import evt
 from cmlsync.errors import (
     DomainError,
     FitError,
@@ -11,6 +14,8 @@ from cmlsync.errors import (
     InsufficientVisitsError,
 )
 from cmlsync.evt import (
+    _brentq,
+    _fminbound,
     _gev_nll,
     _gev_pwm_init,
     _gpd_nll,
@@ -148,6 +153,81 @@ class TestGpdFit:
         z = stats.genpareto.rvs(c=c, size=200, random_state=5)
         with pytest.raises(FitError, match="peaks at an end"):
             fit_gpd_mle(z)
+
+
+class TestBrentPorts:
+    """`_brentq` and `_fminbound` are ports of scipy's brentq and bounded
+    minimize_scalar, which stay the reference here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-0.45, 0.6), st.integers(30, 400),
+           st.integers(0, 2**32 - 1))
+    def test_match_scipy_on_gpd_fits(self, xi, size, seed):
+        # record what fit_gpd_mle hands each solver, then hand it to scipy
+        u = np.random.default_rng(seed).uniform(size=size)
+        z = -np.log1p(-u)  # the xi = 0 law, exponential
+        if abs(xi) > 1e-6:
+            z = np.expm1(xi * z) / xi
+        calls = {}
+
+        def spy(solver):
+            def run(*args, **kwargs):
+                calls[solver.__name__] = args, kwargs, solver(*args, **kwargs)
+                return calls[solver.__name__][2]
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evt, "_brentq", spy(_brentq))
+            mp.setattr(evt, "_fminbound", spy(_fminbound))
+            try:
+                fit_gpd_mle(z)
+            except FitError:
+                pass
+        (f, a, b), kwargs, root = calls["_brentq"]
+        assert root == optimize.brentq(f, a, b, **kwargs)
+        (f, lo, hi), kwargs, found = calls["_fminbound"]
+        res = optimize.minimize_scalar(
+            f, bounds=(lo, hi), method="bounded",
+            options={"xatol": kwargs["xatol"], "maxiter": 500})
+        assert found == (float(res.x), float(res.fun), res.success)
+
+    def test_brentq_same_sign_bracket_raises(self):
+        with pytest.raises(FitError, match="same sign"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_brentq_iteration_cap_raises(self):
+        def f(x):
+            return math.exp(x) - 2.0
+
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, 0.0, 2.0, maxiter=1)
+        with pytest.raises(FitError, match="did not converge in 1 steps"):
+            _brentq(f, 0.0, 2.0, xtol=2e-12, maxiter=1)
+        assert _brentq(f, 0.0, 2.0, xtol=2e-12) == optimize.brentq(f, 0.0, 2.0)
+
+    def test_brentq_nan_raises(self):
+        def f(x):  # finite at the ends only
+            return x - 0.3 if x in (0.0, 1.0) else math.nan
+
+        with pytest.raises(FitError, match="NaN"):
+            _brentq(f, 0.0, 1.0, xtol=1e-12)
+        with pytest.raises(FitError, match="NaN"):
+            _brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+
+    def test_fminbound_cap_and_nan_are_not_ok(self):
+        def bowl(x):
+            return (x - 0.3) ** 2
+
+        cases = [(bowl, cap) for cap in (1, 2, 3, 5)]
+        for func, maxiter in cases + [(lambda x: math.nan, 500)]:
+            x, fx, ok = _fminbound(func, 0.0, 1.0, 1e-10, maxiter)
+            res = optimize.minimize_scalar(func, bounds=(0.0, 1.0),
+                                           method="bounded",
+                                           options={"xatol": 1e-10,
+                                                    "maxiter": maxiter})
+            assert not ok and not res.success
+            assert x == float(res.x)
+        assert _fminbound(bowl, 0.0, 1.0, 1e-10)[2]
 
 
 class TestClusters:
@@ -297,6 +377,35 @@ class TestPmfs:
             assert oracle > 0.0
             assert probs[k] == pytest.approx(oracle, rel=1e-9)
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_pmfs_match_gammaln_logsumexp(self):
+        # math.lgamma and scipy's gammaln may differ in the last bit, and an
+        # exponent off by a few ulps of its largest term moves the pmf by as
+        # many ulps, relative
+        def oracle(t, p, k):
+            if k == 0 or p == 0.0:
+                return math.exp(k * math.log(t) - t * (1.0 - p)
+                                - special.gammaln(k + 1))
+            j = np.arange(1, k + 1)
+            log_terms = (special.gammaln(k) - special.gammaln(j)
+                         - special.gammaln(k - j + 1) + (k - j) * math.log(p)
+                         + 2.0 * j * math.log1p(-p) + j * math.log(t)
+                         - special.gammaln(j + 1))
+            return math.exp(-t * (1.0 - p) + special.logsumexp(log_terms))
+
+        eps = math.ulp(1.0)
+        for t in (0.25, 1.0, 5.0, 50.0):
+            for p in (0.0, 0.1, 0.5, 0.95):
+                for k in range(120):
+                    expect = oracle(t, p, k)
+                    if expect < 1e-280:
+                        continue
+                    scale = 1.0 + t + k * abs(math.log(t)) + math.lgamma(k + 1)
+                    got = [compound_poisson_pmf(t, p, k)]
+                    if p == 0.0:
+                        got.append(poisson_pmf(t, k))
+                    for value in got:
+                        assert abs(value - expect) <= 4 * eps * scale * expect
 
     def test_compound_mean_is_rescaled_time(self):
         # cluster sizes are geometric(1-p) with mean 1/(1-p); the Poisson

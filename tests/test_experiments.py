@@ -230,6 +230,8 @@ class TestCompoundPoisson:
         )
         rep = reports[0]
         assert 0.0 < rep["mu_strip"] < 0.1
+        assert rep["strip_visits"] > 0
+        assert rep["mu_strip"] == rep["strip_visits"] / cfg.length
         assert 0.0 <= rep["theta_hat"] <= 1.0
         assert sum(rep["empirical_pmf"]) == pytest.approx(1.0)
         assert 0.0 <= rep["tv_compound_poisson"] <= 1.0
@@ -255,7 +257,8 @@ class TestCompoundPoisson:
                                         _point_seed(*key, 4),
                                         burn_in=cfg.burn_in)
             counts = np.sum(strip_indicator(windows[1:], accuracy), axis=0)
-            expect.append((mu, suveges_ei(ind, 1.0 - mu).theta, horizon,
+            expect.append((int(np.sum(ind)), mu,
+                           suveges_ei(ind, 1.0 - mu).theta, horizon,
                            [float(h) for h in np.bincount(counts) / size]))
             largest = max(largest, windows.nbytes)
         # a budget the windows overrun, but one chunk of them fits
@@ -266,8 +269,8 @@ class TestCompoundPoisson:
             simulate_ensemble(MapSpec(cfg.local_map, 2, 0.3), size,
                               largest // (size * 2 * 8), 0)
         reports = run_compound_poisson_check(cfg, accuracy, t, size)
-        assert [(r["mu_strip"], r["theta_hat"], r["horizon"],
-                 r["empirical_pmf"]) for r in reports] == expect
+        assert [(r["strip_visits"], r["mu_strip"], r["theta_hat"],
+                 r["horizon"], r["empirical_pmf"]) for r in reports] == expect
 
 
 class TestDensityFigures:
