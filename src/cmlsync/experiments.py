@@ -26,8 +26,6 @@ from .lattice import (  # noqa: F401
     GridPoint, LocalMap, MapSpec, NoiseSpec, lockstep_gaps, simulate_ensemble,
     step)
 
-_LAMBDA_WARN_GAMMA = 2.0 / 3.0
-
 EI_SWEEP_COLUMNS = [
     "n", "gamma", "epsilon", "realization",
     "theta_suveges", "theta_qk", "theta_theory", "theta_asymptotic",
@@ -117,12 +115,16 @@ class ExperimentConfig:
         return LocalMap.affine_mod1(self.slope)
 
     def warnings(self) -> list[str]:
+        """A warning for the gamma values where `MapSpec.ei_hypothesis_ok`
+        fails, gamma >= 1 - 1/slope (the same at every n)."""
         out = []
-        bad = [g for g in self.gamma_values if g > _LAMBDA_WARN_GAMMA]
+        bad = [g for g in self.gamma_values if not MapSpec(
+            self.local_map, self.n_values[0], g).ei_hypothesis_ok]
         if bad:
+            bound = 1.0 - self.local_map.expansion_bound
             out.append(
-                f"gamma values {bad} exceed the uniform-hyperbolicity "
-                f"reference bound {_LAMBDA_WARN_GAMMA:.4g}"
+                f"gamma values {bad} are not below the uniform-hyperbolicity "
+                f"bound 1 - 1/slope = {bound:.4g}"
             )
         return out
 
@@ -182,36 +184,41 @@ def _n_group(config: ExperimentConfig, n: int, *tag: int,
             eps_key = () if eps is None else (_eps_key(eps),)
             seed = _point_seed(config.seed, n, _gamma_key(gamma), *eps_key,
                                *tag)
-            points.append(GridPoint(gamma, 0.0 if eps is None else eps, seed,
-                                    realizations or config.realizations))
+            points.append(GridPoint(n, gamma, 0.0 if eps is None else eps,
+                                    seed, realizations or config.realizations))
     return points
 
 
-def _observed(config: ExperimentConfig, n: int, *tag: int, **group
-              ) -> list[tuple[GridPoint, np.ndarray, np.ndarray]]:
-    """One lock-step pass over the n-group keyed by ``tag``: per grid point,
-    the point, its rows' (R, length) series of the config's observable and
-    their ``collapsed`` flags."""
-    points = _n_group(config, n, *tag, **group)
-    series, final = lockstep_gaps(
-        config.local_map, n, points, config.length, config.burn_in,
+def _observed(config: ExperimentConfig, *tag: int, **group
+              ) -> list[list[tuple[GridPoint, np.ndarray, np.ndarray]]]:
+    """One lock-step pass over every n-group keyed by ``tag``: per n of the
+    grid, in order, and per grid point of it, the point, its rows' (R,
+    length) series of the config's observable and their ``collapsed``
+    flags."""
+    groups = [_n_group(config, n, *tag, **group) for n in config.n_values]
+    series, finals = lockstep_gaps(
+        config.local_map, [p for points in groups for p in points],
+        config.length, config.burn_in,
         observables.OBSERVABLES[config.observable].value)
-    out, start = [], 0
-    for p in points:
-        rows = slice(start, start + p.realizations)
-        start = rows.stop
-        out.append((p, series[rows], _collapsed(
-            final[rows], MapSpec(config.local_map, n, p.gamma))))
+    finals, start, out = iter(finals), 0, []
+    for points in groups:
+        out.append([])
+        for p in points:
+            rows = series[start:start + p.realizations]
+            start += p.realizations
+            out[-1].append((p, rows, _collapsed(
+                next(finals), MapSpec(config.local_map, p.n, p.gamma))))
     return out
 
 
-def _map_n(config: ExperimentConfig, worker) -> list:
-    """worker(n) for every n of the grid, in order; with threads > 1 the
-    n-groups run on a pool of that many threads."""
+def _map_n(config: ExperimentConfig, worker, observed: list) -> list:
+    """worker(n, observed n-group) for every n of the grid, in order; with
+    threads > 1 the n-groups' estimator work runs on a pool of that many
+    threads."""
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, config.n_values))
-    return [worker(n) for n in config.n_values]
+            return list(pool.map(worker, config.n_values, observed))
+    return [worker(n, group) for n, group in zip(config.n_values, observed)]
 
 
 def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
@@ -224,9 +231,9 @@ def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
     return np.all(step(final, spec) == final, axis=-1)
 
 
-def _ei_group(config: ExperimentConfig, n: int) -> list[dict]:
+def _ei_group(config: ExperimentConfig, n: int, observed: list) -> list[dict]:
     rows = []
-    for point, values, collapsed in _observed(config, n):
+    for point, values, collapsed in observed:
         try:
             theta_theory, theta_asym = observables.OBSERVABLES[
                 config.observable].closed_form_ei(n, point.gamma,
@@ -295,7 +302,8 @@ def run_ei_sweep(config: ExperimentConfig) -> SweepResult:
     One row per grid point per realization, plus mean/sd aggregate rows;
     estimator failures flag the row instead of aborting the sweep.
     """
-    rows = [row for group in _map_n(config, partial(_ei_group, config))
+    rows = [row for group in _map_n(config, partial(_ei_group, config),
+                                    _observed(config))
             for row in group]
     return SweepResult(config=config, rows=rows, aggregates=_aggregate(rows))
 
@@ -345,10 +353,10 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
     if config.length // block_size < 30:
         raise ConfigError("length must give at least 30 blocks")
 
-    def group(n):
+    def group(n, observed):
         usable = config.length - config.length % block_size
         rows = []
-        for point, values, collapsed in _observed(config, n, 1):
+        for point, values, collapsed in observed:
             for r, (series, dead) in enumerate(zip(values, collapsed)):
                 maxima = series[:usable].reshape(-1, block_size).max(axis=1)
                 dropped = int(np.sum(~np.isfinite(maxima)))
@@ -366,7 +374,8 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
                 rows.append(row)
         return rows
 
-    rows = [row for rows in _map_n(config, group) for row in rows]
+    rows = [row for rows in _map_n(config, group, _observed(config, 1))
+            for row in rows]
     return SweepResult(config=config, rows=rows)
 
 
@@ -392,9 +401,9 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
     """
     make_output_dir(out_dir)
     summaries = []
-    for n in config.n_values:
-        for point, (series,), _ in _observed(config, n, 2, realizations=1):
-            gamma, eps = point.gamma, point.epsilon
+    for group in _observed(config, 2, realizations=1):
+        for point, (series,), _ in group:
+            n, gamma, eps = point.n, point.gamma, point.epsilon
             u = observables.threshold_from_quantile(series, config.quantile)
             ind = observables.exceedance_indicator(series, u)
             stats = evt.extract_clusters(ind)
@@ -456,46 +465,48 @@ def run_compound_poisson_check(
     # the strip is evt.strip_indicator's: a global-sync gap <= accuracy
     spread = observables.OBSERVABLES["global_sync"].gap
     reports = []
-    for n in config.n_values:
-        points = _n_group(config, n, 3, noise=False, realizations=1)
-        windows = _n_group(config, n, 4, noise=False,
-                           realizations=ensemble_size)
-        gaps, _ = lockstep_gaps(config.local_map, n, points, config.length,
-                                config.burn_in, spread)
-        for gamma, window, gap in zip(config.gamma_values, windows, gaps):
-            ind = gap <= accuracy
-            strip_visits = int(np.count_nonzero(ind))
-            mu_strip = strip_visits / ind.size
-            if strip_visits == 0:
-                raise DomainError(
-                    f"no strip visits at accuracy {accuracy}; lengthen the run"
-                )
-            theta_hat = evt.suveges_ei(ind, 1.0 - mu_strip).theta
-            horizon = int(t / mu_strip)
-            # strip visits per window over steps 1..horizon, counted per chunk
-            counts = np.zeros(ensemble_size, dtype=np.int64)
+    points = [p for n in config.n_values
+              for p in _n_group(config, n, 3, noise=False, realizations=1)]
+    gaps, _ = lockstep_gaps(config.local_map, points, config.length,
+                            config.burn_in, spread)
+    windows = [w for n in config.n_values
+               for w in _n_group(config, n, 4, noise=False,
+                                 realizations=ensemble_size)]
+    for window, gap in zip(windows, gaps):
+        n, gamma = window.n, window.gamma
+        ind = gap <= accuracy
+        strip_visits = int(np.count_nonzero(ind))
+        mu_strip = strip_visits / ind.size
+        if strip_visits == 0:
+            raise DomainError(
+                f"no strip visits at accuracy {accuracy}; lengthen the run"
+            )
+        theta_hat = evt.suveges_ei(ind, 1.0 - mu_strip).theta
+        horizon = int(t / mu_strip)
+        # strip visits per window over steps 1..horizon, counted per chunk
+        counts = np.zeros(ensemble_size, dtype=np.int64)
 
-            def fold(chunk_gaps, start):
-                hits = chunk_gaps[1:] if start == 0 else chunk_gaps  # 0: start
-                counts[:] += np.sum(hits <= accuracy, axis=0)
+        def fold(chunk_gaps, start):
+            hits = chunk_gaps[1:] if start == 0 else chunk_gaps  # 0: start
+            counts[:] += np.sum(hits <= accuracy, axis=0)
 
-            lockstep_gaps(config.local_map, n, [window], horizon + 1,
-                          config.burn_in, spread, fold)
-            hist = np.bincount(counts) / counts.size
-            p_hat = 1.0 - theta_hat
-            tv_compound = _tv_distance(
-                hist, evt.compound_poisson_pmf_array(t, p_hat, hist.size))
-            tv_poisson = _tv_distance(
-                hist, np.array([evt.poisson_pmf(t, k) for k in range(hist.size)]))
-            reports.append({
-                "n": n, "gamma": gamma, "t": t, "accuracy": accuracy,
-                "strip_visits": strip_visits, "mu_strip": mu_strip,
-                "theta_hat": theta_hat,
-                "horizon": horizon, "ensemble_size": ensemble_size,
-                "empirical_pmf": [float(h) for h in hist],
-                "tv_compound_poisson": tv_compound,
-                "tv_poisson": tv_poisson,
-            })
+        lockstep_gaps(config.local_map, [window], horizon + 1,
+                      config.burn_in, spread, fold)
+        hist = np.bincount(counts) / counts.size
+        p_hat = 1.0 - theta_hat
+        tv_compound = _tv_distance(
+            hist, evt.compound_poisson_pmf_array(t, p_hat, hist.size))
+        tv_poisson = _tv_distance(
+            hist, np.array([evt.poisson_pmf(t, k) for k in range(hist.size)]))
+        reports.append({
+            "n": n, "gamma": gamma, "t": t, "accuracy": accuracy,
+            "strip_visits": strip_visits, "mu_strip": mu_strip,
+            "theta_hat": theta_hat,
+            "horizon": horizon, "ensemble_size": ensemble_size,
+            "empirical_pmf": [float(h) for h in hist],
+            "tv_compound_poisson": tv_compound,
+            "tv_poisson": tv_poisson,
+        })
     return reports
 
 

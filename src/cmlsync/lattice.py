@@ -176,38 +176,66 @@ _CHUNK_ELEMENTS = 1 << 15  # 256 kB of float64 states per lock-step chunk
 
 
 def _lattice_update(local_map: LocalMap, keep: np.ndarray, share: np.ndarray,
-                    shape: tuple[int, ...]):
+                    blocks: list[tuple[int, int]]):
     """The deterministic update as ``update(src, dst)``: dst = T_hat(src).
 
-    Works on arrays of ``shape`` (..., n) without checking them: src must
-    lie in [0, 1) and dst must not alias src.  ``keep`` and ``share`` are
-    the mix weights (1 - gamma, gamma / n), 0-d for one coupling or (R, 1)
-    columns for R rows with their own; a row with gamma = 0 mixes with 1.0
-    and 0.0, which gives its T values bit for bit.  A full-branch map
-    x -> s x mod 1 takes ``y = s x; y -= floor(y)``, which equals the branch
-    form ``mod(s x - i, 1)`` of `LocalMap.__call__` bit for bit, because
-    ``s x - i`` is exact; any other `LocalMap` takes the branch lookup.
+    Works on flat arrays of sites without checking them: src must lie in
+    [0, 1), and dst, contiguous, must not alias src.  ``blocks`` lists the
+    (R, n) of consecutive runs of rows, R rows of an n-site lattice each,
+    every row's sites contiguous; an (R, n) array is one block.  ``keep``
+    and ``share`` are the mix weights (1 - gamma, gamma / n), 0-d for one
+    coupling or one per row for rows with their own; a row with gamma = 0
+    mixes with 1.0 and 0.0, which gives its T values bit for bit.
+
+    T, the mix and its guard run once over all sites; only the site sum
+    runs once per block, as ``np.add.reduce`` over the block's (R, n) view.
+    (``np.add.reduceat`` adds in another order, and gives other bits for
+    n >= 3.)  A coupled update writes T into a buffer of its own, so that
+    the per-block views the sums read are made once.
+
+    A full-branch map x -> s x mod 1 takes ``y = s x; y -= floor(y)``,
+    which equals the branch form ``mod(s x - i, 1)`` of `LocalMap.__call__`
+    bit for bit, because ``s x - i`` is exact; any other `LocalMap` takes
+    the branch lookup.
     """
     full_slope = local_map._full_branch_slope
     # 0-d arrays: ufuncs take them faster than Python floats
     slope = np.array(float(full_slope or 0))
     coupled = np.any(share != 0.0)
-    scratch = np.empty(shape)
-    over = np.empty(shape, dtype=bool)
+    scratch = np.empty(sum(r * n for r, n in blocks))
+    if coupled:
+        y = np.empty(scratch.shape)
+        over = np.empty(scratch.shape, dtype=bool)
+        sites_per_row = np.repeat([n for _, n in blocks],
+                                  [r for r, _ in blocks])
+        rows = sites_per_row.size
+        totals = np.empty(rows)
+        row_of_site = np.repeat(np.arange(rows), sites_per_row)
+        keep, share = (w if w.ndim == 0 else np.repeat(w, sites_per_row)
+                       for w in (keep, share))
+        sums = []  # per block: the (R, n) view of its T values, its totals
+        site = row = 0
+        for r, n in blocks:
+            sums.append((y[site:site + r * n].reshape(r, n),
+                         totals[row:row + r]))
+            site, row = site + r * n, row + r
 
     def update(src, dst):
+        t = y if coupled else dst
         if full_slope:
-            np.multiply(src, slope, out=dst)
-            np.floor(dst, out=scratch)
-            np.subtract(dst, scratch, out=dst)
+            np.multiply(src, slope, out=t)
+            np.floor(t, out=scratch)
+            np.subtract(t, scratch, out=t)
         else:
-            dst[...] = local_map._unchecked(src)
+            t[...] = local_map._unchecked(src)
         if not coupled:
             return  # gamma = 0: the mix 1.0 * y + 0.0 is y, bit for bit
-        # np.add.reduce is the reduction np.sum(y, axis=-1, keepdims=True)
-        # runs, without its dispatch cost
-        _mix(dst, np.add.reduce(dst, axis=-1, keepdims=True), keep, share,
-             over)
+        # np.add.reduce is the reduction np.sum(y, axis=-1) runs, without
+        # its dispatch cost
+        for view, total in sums:
+            np.add.reduce(view, axis=-1, out=total)
+        totals.take(row_of_site, out=scratch, mode="wrap")
+        _mix(y, scratch, keep, share, over, out=dst)
 
     return update
 
@@ -217,19 +245,21 @@ def _mix_weights(spec: MapSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(1.0 - spec.gamma), np.array(spec.gamma / spec.n)
 
 
-def _mix(y, total, keep, share, over) -> None:
-    """The mean-field mix in place: y = keep * y + share * total.
+def _mix(y, total, keep, share, over, out=None) -> None:
+    """The mean-field mix: out = keep * y + share * total, in place on y
+    unless ``out`` is given.
 
     ``total`` holds the sum of the sites' T values and broadcasts against
     ``y``; it is scaled in place.  ``over`` is boolean scratch shaped like
     ``y``.  Every output is a convex combination of values in [0, 1), so
     only the rare round-up to 1.0 needs a guard.
     """
+    out = y if out is None else out
     np.multiply(total, share, out=total)
-    np.multiply(y, keep, out=y)
-    np.add(y, total, out=y)
-    np.greater_equal(y, _ONE, out=over)
-    np.subtract(y, _ONE, out=y, where=over)
+    np.multiply(y, keep, out=out)
+    np.add(out, total, out=out)
+    np.greater_equal(out, _ONE, out=over)
+    np.subtract(out, _ONE, out=out, where=over)
 
 
 def _kick(dst: np.ndarray, kick: np.ndarray) -> None:
@@ -244,18 +274,22 @@ def _kick(dst: np.ndarray, kick: np.ndarray) -> None:
     np.copyto(dst, 0.0, where=dst >= _ONE)
 
 
-def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray
-             ) -> np.ndarray:
+def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray,
+             widest: int | None = None) -> np.ndarray:
     """The lattice kernel behind every time loop of the package.
 
-    Fills ``out`` (length, R, n) with the orbit of the checked (R, n)
-    states ``x`` under ``update``: row 0 is the state ``burn_in`` steps
+    Fills ``out`` (length, S) with the orbit of the checked flat states
+    ``x`` (S,) under ``update``: row 0 is the state ``burn_in`` steps
     after ``x``, row k the k-th state after that.  ``draw(steps)`` returns
-    the (steps, R, n) noise kicks of the next ``steps`` steps, or is None
+    the (steps, S) noise kicks of the next ``steps`` steps, or is None
     for a noise-free orbit; it is called once per block of steps, and never
-    for a step past the last row.
+    for a step past the last row.  A block is as many steps as the kicks of
+    ``widest`` sites (default all S) fit `_NOISE_BLOCK_ELEMENTS`, so a pass
+    draws each point's kicks in blocks as long as a pass of its block
+    alone would.
     """
-    block = max(1, min(_NOISE_BLOCK_STEPS, _NOISE_BLOCK_ELEMENTS // x.size))
+    block = max(1, min(_NOISE_BLOCK_STEPS,
+                       _NOISE_BLOCK_ELEMENTS // (widest or x.size)))
     work = np.empty((2,) + x.shape)  # burn-in states, alternating
     prev = work[0]
     prev[...] = x
@@ -301,8 +335,8 @@ def _orbit(
     unchecked.  Noise is drawn in blocks of steps with one
     ``rng.uniform(-0.5, 0.5, size=(block, R, n))`` call, which consumes the
     stream exactly as one draw per step would, and no further than the last
-    step taken.  ``out`` receives the orbit when given (a reused buffer);
-    otherwise it is allocated here, within `_MAX_ENSEMBLE_BYTES`.
+    step taken.  ``out`` receives the orbit when given (a reused contiguous
+    buffer); otherwise it is allocated here, within `_MAX_ENSEMBLE_BYTES`.
     """
     x = validate_state(x, spec.n)
     if length < 1 or burn_in < 0:
@@ -316,106 +350,190 @@ def _orbit(
     draw = None
     if eps != 0.0:
         def draw(steps):
-            kicks = rng.uniform(-0.5, 0.5, size=(steps, realizations, n))
+            kicks = rng.uniform(-0.5, 0.5, size=(steps, realizations * n))
             return np.multiply(kicks, eps, out=kicks)
-    update = _lattice_update(spec.local_map, *_mix_weights(spec), x.shape)
-    return _advance(update, x, burn_in, draw, out)
+    update = _lattice_update(spec.local_map, *_mix_weights(spec), [x.shape])
+    _advance(update, x.reshape(-1), burn_in, draw, out.reshape(length, -1))
+    return out
 
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One grid point of a `lockstep_gaps` pass: ``realizations`` rows with
-    coupling ``gamma`` and noise ``epsilon``, whose start states and kicks
-    come from the stream of ``seed`` exactly as in `simulate_ensemble`."""
+    """One grid point of a `lockstep_gaps` pass: ``realizations`` rows of an
+    ``n``-site lattice with coupling ``gamma`` and noise ``epsilon``, whose
+    start states and kicks come from the stream of ``seed`` exactly as in
+    `simulate_ensemble`."""
 
+    n: int
     gamma: float
     epsilon: float
     seed: int
     realizations: int
 
 
+def _blocks(points: list[GridPoint]) -> list[tuple[int, int]]:
+    """The (R, n) of each run of consecutive points of equal n."""
+    blocks = []
+    for p in points:
+        if blocks and blocks[-1][1] == p.n:
+            blocks[-1] = (blocks[-1][0] + p.realizations, p.n)
+        else:
+            blocks.append((p.realizations, p.n))
+    return blocks
+
+
+def _chunk_steps(blocks: list[tuple[int, int]], length: int) -> int:
+    """Steps per chunk of a pass: each block's share of a chunk holds about
+    `_CHUNK_ELEMENTS` states at most, as a pass of that block alone would."""
+    widest = max(r * n for r, n in blocks)
+    return max(1, min(length, _CHUNK_ELEMENTS // widest))
+
+
+def _pass_bytes(points: list[GridPoint], length: int, folded: bool) -> int:
+    """What a lock-step pass over ``points`` holds: its chunk buffer and
+    states, and its rows' series unless they are folded."""
+    rows = sum(p.realizations for p in points)
+    sites = sum(p.realizations * p.n for p in points)
+    per_chunk = _chunk_steps(_blocks(points), length)
+    return ((per_chunk + 1) * sites + (0 if folded else length * rows)) * 8
+
+
+def _sub_passes(points: list[GridPoint], length: int, folded: bool
+                ) -> list[list[GridPoint]]:
+    """``points`` in order, cut into as few consecutive runs as fit
+    `_MAX_ENSEMBLE_BYTES` each; one run when folded.  Raises
+    `MemoryBudgetError` for a run that cannot fit, before anything of the
+    pass is allocated."""
+    runs = [[]]
+    for p in points:
+        if (not folded and runs[-1]
+                and _pass_bytes(runs[-1] + [p], length, folded)
+                > _MAX_ENSEMBLE_BYTES):
+            runs.append([])
+        runs[-1].append(p)
+    for run in runs:
+        _check_budget(
+            _pass_bytes(run, length, folded),
+            f"lock-step pass of {sum(p.realizations for p in run)} rows, "
+            f"{sum(p.realizations * p.n for p in run)} sites over "
+            f"{length} steps")
+    return runs
+
+
 def lockstep_gaps(
     local_map: LocalMap,
-    n: int,
     points: list[GridPoint],
     length: int,
     burn_in: int,
     gap,
     fold=None,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Every point's orbits in one lock-step pass, reduced to one value per
-    row and step on the fly.
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Every point's orbits in one lock-step pass, whatever their n, reduced
+    to one value per row and step on the fly.
 
-    All rows of all ``points`` advance in one (R_total, n) array, rows in
-    point order; each row mixes with its own point's weights, and each
-    noisy point adds the kicks of its own stream to its own rows.  So each
+    All sites of all ``points`` advance in one flat array, rows in point
+    order; each row mixes with its own point's weights, and each noisy
+    point adds the kicks of its own stream to its own rows.  So each
     point's rows hold, bit for bit, the orbits of
     ``simulate_ensemble(MapSpec(local_map, n, gamma), realizations, length,
-    seed, NoiseSpec(epsilon), burn_in)``.  The orbit streams through one
-    reused buffer of about `_CHUNK_ELEMENTS` states, and ``gap(chunk)``
-    maps each chunk (m, R_total, n) to (m, R_total) values.
+    seed, NoiseSpec(epsilon), burn_in)``.  Consecutive points of equal n
+    form a block, and only the site sum of the update runs once per block.
+    The orbit streams through one reused buffer that holds about
+    `_CHUNK_ELEMENTS` states of the widest block, and ``gap`` maps each
+    block's chunk (m, R_block, n) to (m, R_block) values.
 
-    Returns ``(series, final)``: ``series`` (R_total, length) holds every
-    row's values, and ``final`` (R_total, n) the last states.  With
-    ``fold``, ``fold(values, start)`` receives each chunk's values and the
-    orbit index of its first row instead, and ``series`` is None.  What the
-    pass holds, the series (unless folded), the chunk buffer and the
-    states, must fit `_MAX_ENSEMBLE_BYTES`; it is checked before anything
-    is allocated.
+    Returns ``(series, finals)``: ``series`` (R_total, length) holds every
+    row's values, and ``finals`` each point's (R, n) last states.  With
+    ``fold``, ``fold(values, start)`` receives each chunk's (m, R_total)
+    values and the orbit index of its first row instead, and ``series`` is
+    None.  What a pass holds, its rows' series (unless folded), the chunk
+    buffer and the states, must fit `_MAX_ENSEMBLE_BYTES`: unfolded, the
+    points are cut into as few consecutive sub-passes as fit, which fill
+    the one series in turn; folded, they stay one pass.  A sub-pass that
+    cannot fit raises before anything is allocated.
     """
     if length < 1 or burn_in < 0 or not points:
         raise DomainError("need length >= 1, burn-in >= 0 and a grid point")
-    specs = [MapSpec(local_map, n, p.gamma) for p in points]
-    noises = [NoiseSpec(p.epsilon) for p in points]
-    rows = sum(p.realizations for p in points)
-    per_chunk = max(1, min(length, _CHUNK_ELEMENTS // (rows * n)))
-    _check_budget(
-        ((per_chunk + 1) * n + (length if fold is None else 0)) * rows * 8,
-        f"lock-step pass of {rows} rows x {n} sites over {length} steps")
+    for p in points:
+        MapSpec(local_map, p.n, p.gamma)
+        NoiseSpec(p.epsilon)
+    runs = _sub_passes(points, length, fold is not None)
+    series = None
+    if fold is None:
+        series = np.empty((sum(p.realizations for p in points), length))
+    finals, first = [], 0
+    for run in runs:
+        rows = sum(p.realizations for p in run)
+        sink = fold
+        if fold is None:
+            def sink(values, start, dst=series[first:first + rows]):
+                dst[:, start:start + len(values)] = values.T
+        finals += _lockstep(local_map, run, length, burn_in, gap, sink)
+        first += rows
+    return series, finals
+
+
+def _lockstep(local_map: LocalMap, points: list[GridPoint], length: int,
+              burn_in: int, gap, fold) -> list[np.ndarray]:
+    """One lock-step pass of `lockstep_gaps`, every chunk's values folded;
+    returns each point's (R, n) last states."""
     rngs = [_rng_for(p.seed) for p in points]
-    x = validate_state(np.concatenate(
-        [rng.uniform(0.0, 1.0, size=(p.realizations, n))
-         for rng, p in zip(rngs, points)]), n)
-    weights = np.repeat([_mix_weights(s) for s in specs],
+    x = _check_unit(np.concatenate(
+        [rng.uniform(0.0, 1.0, size=p.realizations * p.n)
+         for rng, p in zip(rngs, points)]), "state components")
+    weights = np.repeat([_mix_weights(MapSpec(local_map, p.n, p.gamma))
+                         for p in points],
                         [p.realizations for p in points], axis=0)
-    keep, share = weights[:, :1].copy(), weights[:, 1:].copy()
-    noisy = []  # (rows, stream, eps) of each noisy point
-    start = 0
-    for p, rng, noise in zip(points, rngs, noises):
-        if noise.epsilon != 0.0:
-            noisy.append((slice(start, start + p.realizations), rng,
-                          noise.epsilon))
-        start += p.realizations
+    blocks = _blocks(points)
+    noisy = []  # (sites, stream, eps) of each noisy point
+    site = 0
+    for p, rng in zip(points, rngs):
+        if p.epsilon != 0.0:
+            noisy.append((slice(site, site + p.realizations * p.n), rng,
+                          p.epsilon))
+        site += p.realizations * p.n
+    size = x.size
     draw = None
     if noisy:
         def draw(steps):
-            kicks = np.zeros((steps, rows, n))  # 0.0 leaves a row as it is
-            for sl, rng, eps in noisy:
-                k = kicks[:, sl]
+            kicks = np.zeros((steps, size))  # 0.0 leaves a site as it is
+            for sites, rng, eps in noisy:
+                k = kicks[:, sites]
                 k[...] = rng.uniform(-0.5, 0.5, size=k.shape)
                 np.multiply(k, eps, out=k)
             return kicks
-    update = _lattice_update(local_map, keep, share, x.shape)
-    series = np.empty((rows, length)) if fold is None else None
-    chunk = np.empty((per_chunk, rows, n))
+    update = _lattice_update(local_map, weights[:, 0], weights[:, 1], blocks)
+    rows = len(weights)
+    widest = max(r * n for r, n in blocks)
+    per_chunk = _chunk_steps(blocks, length)
+    chunk = np.empty((per_chunk, size))
     skip = burn_in
     for start in range(0, length, per_chunk):
         m = min(per_chunk, length - start)
-        states = _advance(update, x, skip, draw, chunk[:m])
-        values = gap(states)
-        if fold is None:
-            series[:, start:start + m] = values.T
-        else:
-            fold(values, start)
+        states = _advance(update, x, skip, draw, chunk[:m], widest)
+        values = np.empty((m, rows))
+        site = row = 0
+        for r, n in blocks:
+            values[:, row:row + r] = gap(
+                states[:, site:site + r * n].reshape(m, r, n))
+            site, row = site + r * n, row + r
+        fold(values, start)
         x, skip = states[-1], 1
-    return series, x.copy()
+    finals, site = [], 0
+    for p in points:
+        finals.append(x[site:site + p.realizations * p.n]
+                      .reshape(p.realizations, p.n).copy())
+        site += p.realizations * p.n
+    return finals
 
 
 def step(state: np.ndarray, spec: MapSpec) -> np.ndarray:
     """One deterministic lattice update.  Works on (..., n) arrays."""
     state = validate_state(state, spec.n)
-    out = np.empty_like(state)
-    _lattice_update(spec.local_map, *_mix_weights(spec), state.shape)(state, out)
+    out = np.empty(state.shape)
+    update = _lattice_update(spec.local_map, *_mix_weights(spec),
+                             [(state.size // spec.n, spec.n)])
+    update(state.reshape(-1), out.reshape(-1))
     return out
 
 

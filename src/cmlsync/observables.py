@@ -39,22 +39,46 @@ def _sites(state) -> np.ndarray:
 
 
 def _spread(state) -> np.ndarray:
-    """max_{i!=j} |x_i - x_j| = max(x) - min(x)."""
+    """max_{i!=j} |x_i - x_j| = max(x) - min(x).
+
+    Runs over the n columns: one elementwise max and min per site is
+    cheaper than a reduction along a short last axis, and max, min and
+    subtraction are exact, so the bits are those of ``np.max - np.min``.
+    """
     state = _sites(state)
-    return np.max(state, axis=-1) - np.min(state, axis=-1)
+    shape = state.shape[:-1]
+    hi = np.maximum(state[..., 0], state[..., 1], out=np.empty(shape))
+    lo = np.minimum(state[..., 0], state[..., 1], out=np.empty(shape))
+    for i in range(2, state.shape[-1]):
+        np.maximum(hi, state[..., i], out=hi)
+        np.minimum(lo, state[..., i], out=lo)
+    return np.subtract(hi, lo, out=hi)[()]
 
 
-def _neighbor_gap(reduce):
-    """reduce(|x_{i+1} - x_i|) over a chain; a ring adds |x_n - x_1| (n > 2)."""
+def _neighbor_gap(combine):
+    """combine(|x_{i+1} - x_i|) over a chain; a ring adds |x_n - x_1| (n > 2).
+
+    ``combine`` is np.maximum or np.minimum, run column by column as in
+    `_spread`; subtraction and abs are exact, so the bits are those of the
+    reduction of ``abs(diff(x))``.
+    """
     def gap(state, boundary: str = "chain") -> np.ndarray:
         state = _sites(state)
         if boundary not in ("chain", "ring"):
             raise DomainError("boundary must be 'chain' or 'ring'")
-        gaps = np.abs(np.diff(state, axis=-1))
-        if boundary == "ring" and state.shape[-1] > 2:
-            wrap = np.abs(state[..., -1:] - state[..., :1])
-            gaps = np.concatenate([gaps, wrap], axis=-1)
-        return reduce(gaps, axis=-1)
+        n = state.shape[-1]
+        pairs = [(i + 1, i) for i in range(n - 1)]
+        if boundary == "ring" and n > 2:
+            pairs.append((n - 1, 0))
+        out = np.subtract(state[..., 1], state[..., 0],
+                          out=np.empty(state.shape[:-1]))
+        np.abs(out, out=out)
+        step = np.empty_like(out)
+        for i, j in pairs[1:]:
+            np.subtract(state[..., i], state[..., j], out=step)
+            np.abs(step, out=step)
+            combine(out, step, out=out)
+        return out[()]
     return gap
 
 
@@ -83,10 +107,10 @@ class Observable:
 
 OBSERVABLES = {
     "global_sync": Observable(_spread, ei_sites=lambda n: n),
-    "local_sync": Observable(_neighbor_gap(np.max)),
+    "local_sync": Observable(_neighbor_gap(np.maximum)),
     # One adjacent pair at a time nears the set, and x_i - x_j is expanded
     # by s(1 - gamma) for every n: the two-site theta holds at any n.
-    "pair_sync": Observable(_neighbor_gap(np.min), ei_sites=lambda n: 2),
+    "pair_sync": Observable(_neighbor_gap(np.minimum), ei_sites=lambda n: 2),
 }
 
 

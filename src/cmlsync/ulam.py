@@ -102,7 +102,7 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
     # the uncoupled update applies T at every site, here to each coordinate
     local = np.empty_like(coords)
     _lattice_update(spec.local_map, *_mix_weights(MapSpec(spec.local_map, 2, 0.0)),
-                    coords.shape)(coords, local)
+                    [coords.shape])(coords.reshape(-1), local.reshape(-1))
     keep, share = _mix_weights(spec)
     # value of `count` samples: the sequential sum of `count` weights
     table = np.cumsum(np.full(ss, 1.0 / ss))

@@ -18,15 +18,17 @@ from cmlsync.evt import (
 )
 from cmlsync.experiments import _point_seed, reproduce
 from cmlsync.lattice import (
+    GridPoint,
     LocalMap,
     MapSpec,
-    NoiseSpec,
     coupling_det,
     coupling_matrix,
+    lockstep_gaps,
     simulate_ensemble,
     step,
 )
 from cmlsync.observables import (
+    OBSERVABLES,
     eval_global_sync,
     evaluate_series,
     exceedance_indicator,
@@ -60,71 +62,87 @@ def theta_asymptotic(n, gamma):
     return 1.0 - ((1.0 / 3.0) / (1.0 - gamma)) ** (n - 1)
 
 
-def mean_suveges(n, gamma, *, eps=0.0, length=10_000, realizations=10,
-                 q=0.98, observable="global_sync", tag=0):
-    """Mean Süveges estimate over an ensemble at one grid point."""
-    spec = MapSpec(TRIPLING, n, gamma)
-    seed = _point_seed(SEED, tag, n, int(round(gamma * 10)),
-                       int(round(eps * 10**8)))
-    ens = simulate_ensemble(spec, realizations, length, seed,
-                            noise=NoiseSpec(eps), burn_in=1000)
+def grid_points(grid, realizations, tag):
+    """A lock-step pass's points for (n, gamma, eps) triples, each seeded
+    from (tag, n, gamma, eps)."""
+    return [GridPoint(n, gamma, eps,
+                      _point_seed(SEED, tag, n, int(round(gamma * 10)),
+                                  int(round(eps * 10**8))),
+                      realizations)
+            for n, gamma, eps in grid]
+
+
+def point_means(grid, thetas, realizations):
+    """The mean of each grid point's consecutive ``realizations`` thetas."""
+    return {key: float(np.mean(thetas[i * realizations:
+                                      (i + 1) * realizations]))
+            for i, key in enumerate(grid)}
+
+
+def mean_suveges(grid, *, length=10_000, realizations=10, q=0.98,
+                 observable="global_sync", tag=0):
+    """Mean Süveges estimate per (n, gamma, eps) of ``grid``, every point's
+    ensemble in one lock-step pass."""
+    series, _ = lockstep_gaps(TRIPLING, grid_points(grid, realizations, tag),
+                              length, 1000, OBSERVABLES[observable].value)
     thetas = []
-    for r in range(realizations):
-        series = evaluate_series(ens[:, r, :], observable)
-        u = threshold_from_quantile(series, q)
-        ind = exceedance_indicator(series, u)
+    for row in series:
+        u = threshold_from_quantile(row, q)
+        ind = exceedance_indicator(row, u)
         thetas.append(suveges_ei(ind, q).theta)
-    return float(np.mean(thetas))
+    return point_means(grid, thetas, realizations)
 
 
-def mean_suveges_fixed_accuracy(n, gamma, eps, nu, *, length, realizations,
-                                tag):
-    """Süveges estimate at a fixed synchronization accuracy nu."""
-    spec = MapSpec(TRIPLING, n, gamma)
-    seed = _point_seed(SEED, tag, n, int(round(gamma * 10)),
-                       int(round(eps * 10**8)))
-    ens = simulate_ensemble(spec, realizations, length, seed,
-                            noise=NoiseSpec(eps), burn_in=1000)
+def mean_suveges_fixed_accuracy(grid, nu, *, length, realizations, tag):
+    """Mean Süveges estimate per (n, gamma, eps) of ``grid`` at a fixed
+    synchronization accuracy nu, every point's ensemble in one lock-step
+    pass that keeps only the pair-sync exceedance indicator."""
     u = -math.log(nu)
+    ind = np.empty((len(grid) * realizations, length), dtype=bool)
+
+    def fold(values, start):
+        ind[:, start:start + len(values)] = (values > u).T
+
+    lockstep_gaps(TRIPLING, grid_points(grid, realizations, tag), length,
+                  1000, OBSERVABLES["pair_sync"].value, fold)
     thetas = []
-    for r in range(realizations):
-        series = evaluate_series(ens[:, r, :], "pair_sync")
-        ind = exceedance_indicator(series, u)
-        n_exc = int(ind.sum())
+    for row in ind:
+        n_exc = int(row.sum())
         if n_exc == 0:
             thetas.append(1.0)  # no exceedances: no clustering observed
             continue
-        q_emp = 1.0 - n_exc / ind.size
-        thetas.append(suveges_ei(ind, q_emp).theta)
-    return float(np.mean(thetas))
+        q_emp = 1.0 - n_exc / row.size
+        thetas.append(suveges_ei(row, q_emp).theta)
+    return point_means(grid, thetas, realizations)
 
 
 def test_01_two_site_ei_curve(report):
+    got = mean_suveges([(2, gamma, 0.0) for gamma in GAMMAS], tag=1)
     worst = 0.0
-    for gamma in GAMMAS:
-        got = mean_suveges(2, gamma, tag=1)
-        worst = max(worst, abs(got - theta_exact(2, gamma)))
+    for (_, gamma, _), theta in got.items():
+        worst = max(worst, abs(theta - theta_exact(2, gamma)))
     report(1, "two-site EI curve vs closed form", worst <= 0.07,
            f"(worst deviation {worst:.4f}, tolerance 0.07)")
 
 
 def test_02_three_site_ei_curve(report):
     assert theta_exact(3, 0.1) == pytest.approx(0.8628, abs=5e-4)
+    got = mean_suveges([(3, gamma, 0.0) for gamma in GAMMAS], tag=2)
     worst = 0.0
-    for gamma in GAMMAS:
-        got = mean_suveges(3, gamma, tag=2)
-        worst = max(worst, abs(got - theta_exact(3, gamma)))
+    for (_, gamma, _), theta in got.items():
+        worst = max(worst, abs(theta - theta_exact(3, gamma)))
     report(2, "three-site EI curve vs closed form", worst <= 0.07,
            f"(worst deviation {worst:.4f}, tolerance 0.07)")
 
 
 def test_03_asymptotic_ei_surface(report):
+    got = mean_suveges([(n, gamma, 0.0) for n in range(3, 24)
+                        for gamma in GAMMAS],
+                       realizations=3, q=0.995, tag=3)
     hits = total = 0
-    for n in range(3, 24):
-        for gamma in GAMMAS:
-            got = mean_suveges(n, gamma, realizations=3, q=0.995, tag=3)
-            hits += abs(got - theta_asymptotic(n, gamma)) <= 0.1
-            total += 1
+    for (n, gamma, _), theta in got.items():
+        hits += abs(theta - theta_asymptotic(n, gamma)) <= 0.1
+        total += 1
     frac = hits / total
     report(3, "large-lattice asymptotic EI surface", frac >= 0.9,
            f"({hits}/{total} grid points within 0.1)")
@@ -152,10 +170,11 @@ def test_04_gumbel_shape_parameter(report):
 
 def test_05_neighbor_sync_n_independence(report):
     ns = range(3, 24, 2)
+    got = mean_suveges([(n, gamma, 0.0) for n in ns for gamma in GAMMAS],
+                       observable="pair_sync", tag=5)
     worst_spread = worst_track = 0.0
     for gamma in GAMMAS:
-        thetas = [mean_suveges(n, gamma, observable="pair_sync", tag=5)
-                  for n in ns]
+        thetas = [got[n, gamma, 0.0] for n in ns]
         worst_spread = max(worst_spread, max(thetas) - min(thetas))
         worst_track = max(
             worst_track,
@@ -168,16 +187,16 @@ def test_05_neighbor_sync_n_independence(report):
 
 def test_06_noise_destroys_clusters(report):
     nu = 1.5e-4
+    pairs = [(n, gamma) for n in (3, 13, 23) for gamma in (0.0, 0.3, 0.6)]
+    got = mean_suveges_fixed_accuracy(
+        [(n, gamma, eps) for n, gamma in pairs for eps in (0.0, 1e-4, 1e-2)],
+        nu, length=200_000, realizations=5, tag=6)
     worst_noisy = 1.0
     worst_recovery = 0.0
-    for n in (3, 13, 23):
-        for gamma in (0.0, 0.3, 0.6):
-            kw = dict(length=200_000, realizations=5, tag=6)
-            clean = mean_suveges_fixed_accuracy(n, gamma, 0.0, nu, **kw)
-            low = mean_suveges_fixed_accuracy(n, gamma, 1e-4, nu, **kw)
-            high = mean_suveges_fixed_accuracy(n, gamma, 1e-2, nu, **kw)
-            worst_noisy = min(worst_noisy, high)
-            worst_recovery = max(worst_recovery, abs(low - clean))
+    for n, gamma in pairs:
+        clean, low, high = (got[n, gamma, eps] for eps in (0.0, 1e-4, 1e-2))
+        worst_noisy = min(worst_noisy, high)
+        worst_recovery = max(worst_recovery, abs(low - clean))
     ok = worst_noisy >= 0.9 and worst_recovery <= 0.1
     report(6, "noise removes clustering, weak noise preserves it", ok,
            f"(min noisy theta {worst_noisy:.4f}, recovery dev "
@@ -200,6 +219,8 @@ def test_08_poisson_pmf_value(report):
 
 
 def test_09_spectral_empirical_theory_consistency(report):
+    empirical = mean_suveges([(2, gamma, 0.0) for gamma in (0.1, 0.3, 0.5)],
+                             tag=9)
     worst = 0.0
     for gamma in (0.1, 0.3, 0.5):
         spec = MapSpec(TRIPLING, 2, gamma)
@@ -214,8 +235,7 @@ def test_09_spectral_empirical_theory_consistency(report):
             TheoryInputs(n=2, gamma=gamma, lam=1 / 3, density_trace=trace),
             TRIPLING,
         )
-        empirical = mean_suveges(2, gamma, tag=9)
-        triple = (spectral, formula, empirical)
+        triple = (spectral, formula, empirical[2, gamma, 0.0])
         worst = max(worst, max(triple) - min(triple))
     report(9, "spectral / formula / empirical EI agreement", worst <= 0.07,
            f"(worst pairwise gap {worst:.4f}, tolerance 0.07)")

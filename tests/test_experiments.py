@@ -86,6 +86,14 @@ class TestConfig:
         assert any("0.8" in w for w in cfg.warnings())
         assert small_config().warnings() == []
 
+    @pytest.mark.parametrize("slope, gamma, warns", [
+        (2, 0.5, True), (2, 0.45, False), (5, 0.7, False), (5, 0.8, True),
+        (3, 0.6, False), (3, 2.0 / 3.0, False), (3, 0.7, True)])
+    def test_warning_follows_the_map_bound(self, slope, gamma, warns):
+        cfg = small_config(slope=slope, gamma_values=(0.1, gamma))
+        spec = MapSpec(cfg.local_map, 2, gamma)
+        assert bool(cfg.warnings()) == warns == (not spec.ei_hypothesis_ok)
+
 
 class TestPointSeeds:
     def test_deterministic_and_distinct(self):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmlsync import density, lattice
@@ -409,46 +409,79 @@ def mixed_with_zero(nonzero):
 
 class TestLockstepPass:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 4), st.integers(2, 6),
+    @given(st.integers(2, 4),
+           st.lists(st.sampled_from([2, 3, 5, 8, 12]), min_size=1,
+                    max_size=3),
            mixed_with_zero(st.sampled_from([0.1, 0.3, 0.45, 0.6])),
            mixed_with_zero(st.sampled_from([1e-4, 1e-2, 0.3])),
-           st.integers(1, 5), st.integers(0, 2**32), st.data())
-    def test_matches_simulate_ensemble(self, slope, n, gammas, epsilons, r,
-                                       seed, data):
+           st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 2),
+           st.integers(0, 3))
+    # 2-3 sizes with n >= 8, and equal-n runs that are not contiguous
+    @example(3, [3, 8, 3], [0.0, 0.3], [0.0, 1e-2], 2, 7, 1, 3)
+    @example(2, [2, 12, 5], [0.45, 0.0], [1e-4, 0.0], 3, 8, 2, 2)
+    def test_matches_simulate_ensemble(self, slope, ns, gammas, epsilons, r,
+                                       seed, burn_in_at, length_at):
         local_map = LocalMap.affine_mod1(slope)
-        points = [GridPoint(g, e, seed + i, r) for i, (g, e) in enumerate(
-            (g, e) for g in gammas for e in epsilons)]
-        per_chunk = max(1, PASS_CHUNK_ELEMENTS // (len(points) * r * n))
-        burn_in = data.draw(st.sampled_from(
-            [0, per_chunk // 2 + 1, per_chunk + 3]), label="burn_in")
-        length = data.draw(st.sampled_from(
-            [1, per_chunk, per_chunk + 1, 3 * per_chunk + 2]), label="length")
+        points = [GridPoint(n, g, e, seed + i, r)
+                  for i, (n, g, e) in enumerate(
+                      (n, g, e) for n in ns for g in gammas for e in epsilons)]
+        widest = max(r * n for r, n in lattice._blocks(points))
+        per_chunk = max(1, PASS_CHUNK_ELEMENTS // widest)
+        burn_in = [0, per_chunk // 2 + 1, per_chunk + 3][burn_in_at]
+        length = [1, per_chunk, per_chunk + 1, 3 * per_chunk + 2][length_at]
         folded = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "_CHUNK_ELEMENTS", PASS_CHUNK_ELEMENTS)
-            series, final = lockstep_gaps(local_map, n, points, length,
-                                          burn_in, SPREAD)
+            series, finals = lockstep_gaps(local_map, points, length,
+                                           burn_in, SPREAD)
             none, again = lockstep_gaps(
-                local_map, n, points, length, burn_in, SPREAD,
+                local_map, points, length, burn_in, SPREAD,
                 lambda values, start: folded.append((start, values.copy())))
-        expect = [simulate_ensemble(MapSpec(local_map, n, p.gamma), r, length,
-                                    p.seed, NoiseSpec(p.epsilon), burn_in)
+        expect = [simulate_ensemble(MapSpec(local_map, p.n, p.gamma), r,
+                                    length, p.seed, NoiseSpec(p.epsilon),
+                                    burn_in)
                   for p in points]
         assert same_bits(series, np.concatenate([SPREAD(e).T for e in expect]))
-        assert same_bits(final, np.concatenate([e[-1] for e in expect]))
+        assert len(finals) == len(points)
+        assert all(same_bits(f, e[-1]) for f, e in zip(finals, expect))
         # folding sees the same values, chunk by chunk, and keeps no series
-        assert none is None and same_bits(again, final)
+        assert none is None
+        assert all(same_bits(f, a) for f, a in zip(finals, again))
         assert [start for start, _ in folded] == list(
             range(0, length, per_chunk))
         assert same_bits(np.concatenate([v for _, v in folded]), series.T)
 
+    def test_budget_splits_into_sub_passes(self, monkeypatch):
+        local_map = LocalMap.affine_mod1(3)
+        points = [GridPoint(n, g, e, 11 * i, 3) for i, (n, g, e) in enumerate(
+            (n, g, e) for n in (3, 8, 3) for g in (0.0, 0.4)
+            for e in (0.0, 1e-2))]
+        length, burn_in = 40, 5
+        series, finals = lockstep_gaps(local_map, points, length, burn_in,
+                                       SPREAD)
+        assert len(lattice._sub_passes(points, length, False)) == 1
+        # room for the largest point alone, not for two of them
+        budget = max(lattice._pass_bytes([p], length, False) for p in points)
+        monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget)
+        runs = lattice._sub_passes(points, length, False)
+        assert 1 < len(runs) < len(points)
+        assert [p for run in runs for p in run] == points
+        split, split_finals = lockstep_gaps(local_map, points, length,
+                                            burn_in, SPREAD)
+        assert same_bits(split, series)
+        assert all(same_bits(a, b) for a, b in zip(split_finals, finals))
+        # a folded pass stays one pass, and that one does not fit
+        with pytest.raises(MemoryBudgetError, match="lock-step pass"):
+            lockstep_gaps(local_map, points, length, burn_in, SPREAD,
+                          lambda values, start: None)
+
     def test_budget_raises_before_allocating(self, tripling):
         # 1000 rows x 10^6 steps of series: 8 GB, though the states are small
-        points = [GridPoint(0.1, 0.0, 0, 1000)]
+        points = [GridPoint(2, 0.1, 0.0, 0, 1000)]
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError, match="lock-step pass"):
-                lockstep_gaps(tripling, 2, points, 10**6, 0, SPREAD)
+                lockstep_gaps(tripling, points, 10**6, 0, SPREAD)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -456,10 +489,13 @@ class TestLockstepPass:
 
     def test_rejects_bad_points(self, tripling):
         with pytest.raises(DomainError):
-            lockstep_gaps(tripling, 2, [], 10, 0, SPREAD)
+            lockstep_gaps(tripling, [], 10, 0, SPREAD)
         with pytest.raises(DomainError):
-            lockstep_gaps(tripling, 2, [GridPoint(1.0, 0.0, 0, 1)], 10, 0,
+            lockstep_gaps(tripling, [GridPoint(2, 1.0, 0.0, 0, 1)], 10, 0,
                           SPREAD)
         with pytest.raises(DomainError):
-            lockstep_gaps(tripling, 2, [GridPoint(0.1, -1.0, 0, 1)], 10, 0,
+            lockstep_gaps(tripling, [GridPoint(2, 0.1, -1.0, 0, 1)], 10, 0,
+                          SPREAD)
+        with pytest.raises(DomainError):
+            lockstep_gaps(tripling, [GridPoint(1, 0.1, 0.0, 0, 1)], 10, 0,
                           SPREAD)

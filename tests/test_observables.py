@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from cmlsync.errors import DegenerateSeriesError, DomainError, InvalidBlocksError
 from cmlsync.observables import (
+    OBSERVABLES,
     eval_block_sync,
     eval_global_sync,
     eval_local_sync,
@@ -107,6 +108,36 @@ class TestProperties:
         once = running_maximum(series)
         assert np.array_equal(running_maximum(once), once)
         assert np.all(np.diff(once) >= 0)
+
+
+class TestColumnGaps:
+    """The gaps run over columns; the axis reductions are the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 23), st.sampled_from([(), (1,), (5,), (7, 3)]),
+           st.integers(0, 2**32), st.booleans())
+    def test_match_axis_reductions(self, n, lead, seed, strided):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, size=lead + (n + strided,))
+        if n > 2:
+            x[..., 2] = x[..., 0]  # a zero gap
+        if strided:  # a view that is not contiguous, as the pass hands over
+            x = x[..., 1:]
+        diffs = np.abs(np.diff(x, axis=-1))
+        ring = diffs
+        if n > 2:
+            wrap = np.abs(x[..., -1:] - x[..., :1])
+            ring = np.concatenate([diffs, wrap], axis=-1)
+        local, pair = OBSERVABLES["local_sync"], OBSERVABLES["pair_sync"]
+        for got, want in (
+                (OBSERVABLES["global_sync"].gap(x),
+                 np.max(x, axis=-1) - np.min(x, axis=-1)),
+                (local.gap(x), np.max(diffs, axis=-1)),
+                (pair.gap(x), np.min(diffs, axis=-1)),
+                (local.gap(x, "ring"), np.max(ring, axis=-1)),
+                (pair.gap(x, "ring"), np.min(ring, axis=-1))):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestThreshold:
