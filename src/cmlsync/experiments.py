@@ -24,7 +24,7 @@ from .errors import CmlSyncError, ConfigError, DomainError
 # experiments.simulate_ensemble
 from .lattice import (  # noqa: F401
     GridPoint, LocalMap, MapSpec, NoiseSpec, lockstep_gaps, simulate_ensemble,
-    step)
+    split_passes, step)
 
 EI_SWEEP_COLUMNS = [
     "n", "gamma", "epsilon", "realization",
@@ -189,36 +189,45 @@ def _n_group(config: ExperimentConfig, n: int, *tag: int,
     return points
 
 
-def _observed(config: ExperimentConfig, *tag: int, **group
-              ) -> list[list[tuple[GridPoint, np.ndarray, np.ndarray]]]:
-    """One lock-step pass over every n-group keyed by ``tag``: per n of the
-    grid, in order, and per grid point of it, the point, its rows' (R,
-    length) series of the config's observable and their ``collapsed``
-    flags."""
+def _sweep(config: ExperimentConfig, worker, *tag: int, **group) -> list:
+    """``worker(n, observed)`` for every n of the grid, in order, where
+    ``observed`` lists per grid point of size n, keyed by ``tag``, the
+    point, its rows' (R, length) series of the config's observable and
+    their ``collapsed`` flags.
+
+    The n-groups run in the consecutive lock-step passes of
+    `split_passes`: one pass when their series fit the memory budget
+    together.  Each pass's series are dropped before the next pass runs, so
+    a sweep holds at most one budget's worth of them.
+    """
     groups = [_n_group(config, n, *tag, **group) for n in config.n_values]
+    out = []
+    for run in split_passes(groups, config.length):
+        out += _pass(config, worker, run)
+    return out
+
+
+def _pass(config: ExperimentConfig, worker, groups: list[list[GridPoint]]
+          ) -> list:
+    """`_sweep` over the n-groups of one lock-step pass.  With threads > 1
+    the workers run on a pool of that many threads."""
     series, finals = lockstep_gaps(
         config.local_map, [p for points in groups for p in points],
         config.length, config.burn_in,
         observables.OBSERVABLES[config.observable].value)
-    finals, start, out = iter(finals), 0, []
+    finals, start, observed = iter(finals), 0, []
     for points in groups:
-        out.append([])
+        observed.append([])
         for p in points:
             rows = series[start:start + p.realizations]
             start += p.realizations
-            out[-1].append((p, rows, _collapsed(
+            observed[-1].append((p, rows, _collapsed(
                 next(finals), MapSpec(config.local_map, p.n, p.gamma))))
-    return out
-
-
-def _map_n(config: ExperimentConfig, worker, observed: list) -> list:
-    """worker(n, observed n-group) for every n of the grid, in order; with
-    threads > 1 the n-groups' estimator work runs on a pool of that many
-    threads."""
+    ns = [points[0].n for points in groups]
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, config.n_values, observed))
-    return [worker(n, group) for n, group in zip(config.n_values, observed)]
+            return list(pool.map(worker, ns, observed))
+    return [worker(n, points) for n, points in zip(ns, observed)]
 
 
 def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
@@ -302,8 +311,7 @@ def run_ei_sweep(config: ExperimentConfig) -> SweepResult:
     One row per grid point per realization, plus mean/sd aggregate rows;
     estimator failures flag the row instead of aborting the sweep.
     """
-    rows = [row for group in _map_n(config, partial(_ei_group, config),
-                                    _observed(config))
+    rows = [row for group in _sweep(config, partial(_ei_group, config))
             for row in group]
     return SweepResult(config=config, rows=rows, aggregates=_aggregate(rows))
 
@@ -374,8 +382,7 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
                 rows.append(row)
         return rows
 
-    rows = [row for rows in _map_n(config, group, _observed(config, 1))
-            for row in rows]
+    rows = [row for rows in _sweep(config, group, 1) for row in rows]
     return SweepResult(config=config, rows=rows)
 
 
@@ -400,10 +407,11 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
     (waiting_time, probability, log-scale ready); returns summary records.
     """
     make_output_dir(out_dir)
-    summaries = []
-    for group in _observed(config, 2, realizations=1):
-        for point, (series,), _ in group:
-            n, gamma, eps = point.n, point.gamma, point.epsilon
+
+    def group(n, observed):
+        summaries = []
+        for point, (series,), _ in observed:
+            gamma, eps = point.gamma, point.epsilon
             u = observables.threshold_from_quantile(series, config.quantile)
             ind = observables.exceedance_indicator(series, u)
             stats = evt.extract_clusters(ind)
@@ -426,7 +434,10 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
                 "series_csv": os.path.basename(series_path),
                 "epdf_csv": os.path.basename(epdf_path),
             })
-    return summaries
+        return summaries
+
+    return [s for summaries in _sweep(config, group, 2, realizations=1)
+            for s in summaries]
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +473,28 @@ def run_compound_poisson_check(
         raise ConfigError("ensemble_size must be >= 50")
     if any(eps != 0.0 for eps in config.epsilons):
         raise ConfigError("compound-Poisson check is a deterministic protocol")
+    reports = []
+    for run in split_passes(
+            [_n_group(config, n, 3, noise=False, realizations=1)
+             for n in config.n_values], config.length):
+        reports += _visit_reports(config, run, accuracy, t, ensemble_size)
+    return reports
+
+
+def _visit_reports(config: ExperimentConfig, groups: list[list[GridPoint]],
+                   accuracy: float, t: float, ensemble_size: int
+                   ) -> list[dict]:
+    """`run_compound_poisson_check`'s records for the n-groups of one
+    lock-step pass of long orbits."""
     # the strip is evt.strip_indicator's: a global-sync gap <= accuracy
     spread = observables.OBSERVABLES["global_sync"].gap
-    reports = []
-    points = [p for n in config.n_values
-              for p in _n_group(config, n, 3, noise=False, realizations=1)]
-    gaps, _ = lockstep_gaps(config.local_map, points, config.length,
-                            config.burn_in, spread)
-    windows = [w for n in config.n_values
-               for w in _n_group(config, n, 4, noise=False,
+    gaps, _ = lockstep_gaps(config.local_map,
+                            [p for points in groups for p in points],
+                            config.length, config.burn_in, spread)
+    windows = [w for points in groups
+               for w in _n_group(config, points[0].n, 4, noise=False,
                                  realizations=ensemble_size)]
+    reports = []
     for window, gap in zip(windows, gaps):
         n, gamma = window.n, window.gamma
         ind = gap <= accuracy

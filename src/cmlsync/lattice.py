@@ -390,33 +390,31 @@ def _chunk_steps(blocks: list[tuple[int, int]], length: int) -> int:
 
 
 def _pass_bytes(points: list[GridPoint], length: int, folded: bool) -> int:
-    """What a lock-step pass over ``points`` holds: its chunk buffer and
-    states, and its rows' series unless they are folded."""
+    """What a `lockstep_gaps` pass over ``points`` holds: its rows' series
+    unless they are folded, its chunk buffer and its states."""
     rows = sum(p.realizations for p in points)
     sites = sum(p.realizations * p.n for p in points)
     per_chunk = _chunk_steps(_blocks(points), length)
     return ((per_chunk + 1) * sites + (0 if folded else length * rows)) * 8
 
 
-def _sub_passes(points: list[GridPoint], length: int, folded: bool
-                ) -> list[list[GridPoint]]:
-    """``points`` in order, cut into as few consecutive runs as fit
-    `_MAX_ENSEMBLE_BYTES` each; one run when folded.  Raises
-    `MemoryBudgetError` for a run that cannot fit, before anything of the
-    pass is allocated."""
-    runs = [[]]
-    for p in points:
-        if (not folded and runs[-1]
-                and _pass_bytes(runs[-1] + [p], length, folded)
-                > _MAX_ENSEMBLE_BYTES):
-            runs.append([])
-        runs[-1].append(p)
-    for run in runs:
-        _check_budget(
-            _pass_bytes(run, length, folded),
-            f"lock-step pass of {sum(p.realizations for p in run)} rows, "
-            f"{sum(p.realizations * p.n for p in run)} sites over "
-            f"{length} steps")
+def split_passes(groups: list[list[GridPoint]], length: int
+                 ) -> list[list[list[GridPoint]]]:
+    """``groups`` of points in order, cut between groups into consecutive
+    runs, each as long as one unfolded `lockstep_gaps` pass over its points
+    still fits `_MAX_ENSEMBLE_BYTES`.  A group that cannot fit alone is a
+    run of its own, which `lockstep_gaps` refuses before allocating.
+
+    A caller that drops each run's series before it runs the next holds at
+    most one budget's worth of series at a time.
+    """
+    runs = []
+    for points in groups:
+        if runs and _pass_bytes([p for g in runs[-1] for p in g] + points,
+                                length, False) <= _MAX_ENSEMBLE_BYTES:
+            runs[-1].append(points)
+        else:
+            runs.append([points])
     return runs
 
 
@@ -446,37 +444,22 @@ def lockstep_gaps(
     row's values, and ``finals`` each point's (R, n) last states.  With
     ``fold``, ``fold(values, start)`` receives each chunk's (m, R_total)
     values and the orbit index of its first row instead, and ``series`` is
-    None.  What a pass holds, its rows' series (unless folded), the chunk
-    buffer and the states, must fit `_MAX_ENSEMBLE_BYTES`: unfolded, the
-    points are cut into as few consecutive sub-passes as fit, which fill
-    the one series in turn; folded, they stay one pass.  A sub-pass that
-    cannot fit raises before anything is allocated.
+    None.  What the pass holds, the series (unless folded), the chunk
+    buffer and the states, must fit `_MAX_ENSEMBLE_BYTES`; it is checked
+    before anything is allocated.  `split_passes` cuts a grid into passes
+    that fit.
     """
     if length < 1 or burn_in < 0 or not points:
         raise DomainError("need length >= 1, burn-in >= 0 and a grid point")
     for p in points:
         MapSpec(local_map, p.n, p.gamma)
         NoiseSpec(p.epsilon)
-    runs = _sub_passes(points, length, fold is not None)
-    series = None
-    if fold is None:
-        series = np.empty((sum(p.realizations for p in points), length))
-    finals, first = [], 0
-    for run in runs:
-        rows = sum(p.realizations for p in run)
-        sink = fold
-        if fold is None:
-            def sink(values, start, dst=series[first:first + rows]):
-                dst[:, start:start + len(values)] = values.T
-        finals += _lockstep(local_map, run, length, burn_in, gap, sink)
-        first += rows
-    return series, finals
-
-
-def _lockstep(local_map: LocalMap, points: list[GridPoint], length: int,
-              burn_in: int, gap, fold) -> list[np.ndarray]:
-    """One lock-step pass of `lockstep_gaps`, every chunk's values folded;
-    returns each point's (R, n) last states."""
+    rows = sum(p.realizations for p in points)
+    _check_budget(
+        _pass_bytes(points, length, fold is not None),
+        f"lock-step pass of {rows} rows, "
+        f"{sum(p.realizations * p.n for p in points)} sites over "
+        f"{length} steps")
     rngs = [_rng_for(p.seed) for p in points]
     x = _check_unit(np.concatenate(
         [rng.uniform(0.0, 1.0, size=p.realizations * p.n)
@@ -503,9 +486,9 @@ def _lockstep(local_map: LocalMap, points: list[GridPoint], length: int,
                 np.multiply(k, eps, out=k)
             return kicks
     update = _lattice_update(local_map, weights[:, 0], weights[:, 1], blocks)
-    rows = len(weights)
     widest = max(r * n for r, n in blocks)
     per_chunk = _chunk_steps(blocks, length)
+    series = np.empty((rows, length)) if fold is None else None
     chunk = np.empty((per_chunk, size))
     skip = burn_in
     for start in range(0, length, per_chunk):
@@ -517,14 +500,17 @@ def _lockstep(local_map: LocalMap, points: list[GridPoint], length: int,
             values[:, row:row + r] = gap(
                 states[:, site:site + r * n].reshape(m, r, n))
             site, row = site + r * n, row + r
-        fold(values, start)
+        if fold is None:
+            series[:, start:start + m] = values.T
+        else:
+            fold(values, start)
         x, skip = states[-1], 1
     finals, site = [], 0
     for p in points:
         finals.append(x[site:site + p.realizations * p.n]
                       .reshape(p.realizations, p.n).copy())
         site += p.realizations * p.n
-    return finals
+    return series, finals
 
 
 def step(state: np.ndarray, spec: MapSpec) -> np.ndarray:

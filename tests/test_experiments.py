@@ -2,11 +2,12 @@
 import csv
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from cmlsync import lattice
+from cmlsync import experiments, lattice
 from cmlsync.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from cmlsync.errors import ConfigError, MemoryBudgetError
 from cmlsync.evt import strip_indicator, suveges_ei
@@ -279,6 +280,52 @@ class TestCompoundPoisson:
         reports = run_compound_poisson_check(cfg, accuracy, t, size)
         assert [(r["strip_visits"], r["mu_strip"], r["theta_hat"],
                  r["horizon"], r["empirical_pmf"]) for r in reports] == expect
+
+
+class TestPassBudget:
+    """A grid whose n-groups each fit the memory budget, but not together,
+    runs one lock-step pass per group, each pass's series dropped before
+    the next runs, with the results of one pass."""
+
+    RUNS = {
+        "ei-sweep": lambda cfg, _: run_ei_sweep(cfg).rows,
+        "gev-sweep": lambda cfg, _: run_gev_sweep(cfg).rows,
+        "waiting-times": lambda cfg, out: [
+            (s, open(os.path.join(out, s["series_csv"])).read())
+            for s in run_waiting_time_report(cfg, out)],
+        "compound-poisson": lambda cfg, _: run_compound_poisson_check(
+            cfg, accuracy=5e-2, t=1.0, ensemble_size=50),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_groups_split_with_the_same_results(self, name, monkeypatch,
+                                                tmp_path):
+        cfg = small_config(n_values=(2, 3), gamma_values=(0.0, 0.3),
+                           length=4000)
+        passes = []  # per unfolded pass: its points and a weak ref to its series
+        real = experiments.lockstep_gaps
+
+        def spy(local_map, points, length, burn_in, gap, fold=None):
+            if fold is None:
+                assert all(ref() is None for _, ref in passes)
+            series, finals = real(local_map, points, length, burn_in, gap,
+                                  fold)
+            if fold is None:
+                passes.append((points, weakref.ref(series)))
+            return series, finals
+
+        monkeypatch.setattr(experiments, "lockstep_gaps", spy)
+        whole = self.RUNS[name](cfg, str(tmp_path / "whole"))
+        assert [{p.n for p in points} for points, _ in passes] == [{2, 3}]
+        # room for either n-group's pass, not for both
+        groups = [[p for p in passes[0][0] if p.n == n] for n in (2, 3)]
+        budget = max(lattice._pass_bytes(g, cfg.length, False)
+                     for g in groups)
+        assert lattice._pass_bytes(passes[0][0], cfg.length, False) > budget
+        monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget)
+        passes.clear()
+        assert self.RUNS[name](cfg, str(tmp_path / "split")) == whole
+        assert [points for points, _ in passes] == groups
 
 
 class TestDensityFigures:

@@ -410,11 +410,10 @@ def mixed_with_zero(nonzero):
 class TestLockstepPass:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4),
-           st.lists(st.sampled_from([2, 3, 5, 8, 12]), min_size=1,
-                    max_size=3),
+           st.lists(st.integers(2, 12), min_size=1, max_size=3),
            mixed_with_zero(st.sampled_from([0.1, 0.3, 0.45, 0.6])),
            mixed_with_zero(st.sampled_from([1e-4, 1e-2, 0.3])),
-           st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 2),
+           st.integers(1, 5), st.integers(0, 2**32), st.integers(0, 2),
            st.integers(0, 3))
     # 2-3 sizes with n >= 8, and equal-n runs that are not contiguous
     @example(3, [3, 8, 3], [0.0, 0.3], [0.0, 1e-2], 2, 7, 1, 3)
@@ -451,29 +450,40 @@ class TestLockstepPass:
             range(0, length, per_chunk))
         assert same_bits(np.concatenate([v for _, v in folded]), series.T)
 
-    def test_budget_splits_into_sub_passes(self, monkeypatch):
-        local_map = LocalMap.affine_mod1(3)
-        points = [GridPoint(n, g, e, 11 * i, 3) for i, (n, g, e) in enumerate(
-            (n, g, e) for n in (3, 8, 3) for g in (0.0, 0.4)
-            for e in (0.0, 1e-2))]
-        length, burn_in = 40, 5
-        series, finals = lockstep_gaps(local_map, points, length, burn_in,
-                                       SPREAD)
-        assert len(lattice._sub_passes(points, length, False)) == 1
-        # room for the largest point alone, not for two of them
-        budget = max(lattice._pass_bytes([p], length, False) for p in points)
+    def test_split_passes_cuts_between_groups(self, monkeypatch):
+        groups = [[GridPoint(n, g, 0.0, 11 * i + j, 3)
+                   for j, g in enumerate((0.0, 0.4))]
+                  for i, n in enumerate((3, 8, 3, 5))]
+        length = 40
+        points = [p for g in groups for p in g]
+        assert lattice.split_passes(groups, length) == [groups]
+        # room for the largest group alone, not for two of them
+        budget = max(lattice._pass_bytes(g, length, False) for g in groups)
         monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget)
-        runs = lattice._sub_passes(points, length, False)
-        assert 1 < len(runs) < len(points)
-        assert [p for run in runs for p in run] == points
-        split, split_finals = lockstep_gaps(local_map, points, length,
-                                            burn_in, SPREAD)
-        assert same_bits(split, series)
-        assert all(same_bits(a, b) for a, b in zip(split_finals, finals))
-        # a folded pass stays one pass, and that one does not fit
+        runs = lattice.split_passes(groups, length)
+        assert len(runs) == len(groups)
+        assert [g for run in runs for g in run] == groups
+        # a group too large alone is a run of its own, refused by the pass
+        monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget - 1)
+        assert lattice.split_passes(groups, length) == [[g] for g in groups]
         with pytest.raises(MemoryBudgetError, match="lock-step pass"):
-            lockstep_gaps(local_map, points, length, burn_in, SPREAD,
-                          lambda values, start: None)
+            lockstep_gaps(LocalMap.affine_mod1(3), points, length, 0, SPREAD)
+
+    def test_budget_counts_the_whole_pass(self, tripling, monkeypatch):
+        # two points that each fit the budget, but not together
+        points = [GridPoint(2, 0.1, 0.0, 0, 500), GridPoint(3, 0.2, 0.0, 1, 500)]
+        length = 2000
+        budget = max(lattice._pass_bytes([p], length, False) for p in points)
+        assert lattice._pass_bytes(points, length, False) > budget
+        monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="lock-step pass"):
+                lockstep_gaps(tripling, points, length, 0, SPREAD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_budget_raises_before_allocating(self, tripling):
         # 1000 rows x 10^6 steps of series: 8 GB, though the states are small
