@@ -30,11 +30,7 @@ from .lattice import (
     step,
 )
 from .observables import (
-    eval_block_sync,
     eval_global_sync,
-    eval_local_sync,
-    eval_pair_sync,
-    eval_localization,
     evaluate_series,
     running_maximum,
     threshold_from_quantile,
@@ -51,8 +47,7 @@ __all__ = [
     "CmlSyncError", "ConfigError", "DomainError", "FitError",
     "LocalMap", "MapSpec", "NoiseSpec", "TrajectoryConfig",
     "step", "simulate", "simulate_ensemble", "coupling_matrix", "coupling_det",
-    "eval_localization", "eval_global_sync", "eval_local_sync", "eval_pair_sync",
-    "eval_block_sync", "evaluate_series", "running_maximum",
+    "eval_global_sync", "evaluate_series", "running_maximum",
     "threshold_from_quantile",
     "EvtFitResult", "EiEstimate", "fit_gev_mle", "fit_gpd_mle",
     "suveges_ei", "qk_return_estimator", "poisson_pmf", "compound_poisson_pmf",

@@ -31,7 +31,7 @@ EXIT_NUMERICAL = 3
 
 
 def _load_config(args) -> dict:
-    """Flat key-value JSON file, overridden by --seed/--threads/--out."""
+    """Flat key-value JSON file, overridden by --seed/--out."""
     raw = {}
     if args.config:
         try:
@@ -43,8 +43,6 @@ def _load_config(args) -> dict:
             raise ConfigError("config file must hold a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if args.out is not None:
         raw["out_dir"] = args.out
     return raw
@@ -134,8 +132,7 @@ def cmd_theory(ns) -> int:
 
 
 def cmd_reproduce(ns) -> int:
-    manifest = experiments.reproduce(ns.figure_id, ns.out_dir, seed=ns.seed,
-                                     threads=ns.threads)
+    manifest = experiments.reproduce(ns.figure_id, ns.out_dir, seed=ns.seed)
     print(f"wrote {ns.out_dir}/ ({len(manifest['outputs'])} data files + "
           f"manifest)")
     return EXIT_OK
@@ -196,15 +193,15 @@ _COMMANDS = {
     }, None),
     "reproduce": (cmd_reproduce, "reproduce_{figure_id}", {
         "seed": (partial(int_field, minimum=0), 0),
-        "threads": (partial(int_field, minimum=1), 1),
     }, None),
 }
 
 
 def _parse(args) -> argparse.Namespace:
-    """The command's checked keys, from its config file and --seed,
-    --threads and --out.  Unknown keys are config errors; seed and threads
-    are ignored by the commands that do not take them."""
+    """The command's checked keys, from its config file and --seed and
+    --out.  Unknown keys are config errors; seed is ignored by the commands
+    that do not take it, and threads (and --threads) by all of them: every
+    command runs on one thread."""
     raw = _load_config(args)
     _, out_dir, keys, sweep = _COMMANDS[args.command]
     figure_id = getattr(args, "figure_id", None)
@@ -234,7 +231,8 @@ def _common_flags(default) -> argparse.ArgumentParser:
                         help="JSON config file (flat keys)")
     common.add_argument("--seed", type=int, default=default, help="master seed")
     common.add_argument("--threads", type=int, default=default,
-                        help="worker threads for sweeps")
+                        help="accepted and ignored: commands run on one "
+                             "thread")
     common.add_argument("--out", default=default, help="output directory")
     return common
 

@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import DomainError, MemoryBudgetError
 # step_noisy stays importable here: bench/tracing.py wraps density.step_noisy
-from .lattice import MapSpec, NoiseSpec, _orbit, _rng_for, step_noisy  # noqa: F401
-from .lattice import _MAX_ENSEMBLE_BYTES
+from .lattice import (  # noqa: F401
+    GridPoint, MapSpec, NoiseSpec, lockstep_gaps, step_noisy)
 
 _MAX_CELLS = 200_000_000  # int64 counts, ~1.6 GB
-_CHUNK_ELEMENTS = 1 << 18  # 2 MB of float64 states per chunk
 
 
 @dataclass
@@ -36,16 +35,6 @@ class DensityHistogram:
         """Normalized density per unit volume; integrates to 1."""
         cell_volume = (1.0 / self.bins_per_axis) ** self.n
         return self.counts / (self.total_samples * cell_volume)
-
-    def merge(self, other: "DensityHistogram") -> "DensityHistogram":
-        if (self.n, self.bins_per_axis) != (other.n, other.bins_per_axis):
-            raise DomainError("histogram shapes differ")
-        return DensityHistogram(
-            self.n,
-            self.bins_per_axis,
-            self.counts + other.counts,
-            self.total_samples + other.total_samples,
-        )
 
 
 @dataclass
@@ -73,32 +62,29 @@ def estimate_density(
 ) -> DensityHistogram:
     """Ensemble histogram of the invariant density; deterministic given seed.
 
-    All realizations advance in lock-step; per-realization partial histograms
-    would merge to the same counts (accumulation is a plain sum).
+    One `lockstep_gaps` pass advances all realizations, with the start
+    states and kicks of `simulate_ensemble` at ``seed``, and folds each
+    chunk of the orbit into the counts.  Its ``gap`` maps a state to the
+    flat index of its cell, below `_MAX_CELLS` and so exact in float64.
     """
     n = spec.n
     if n not in (2, 3):
         raise DomainError("density estimation supports n = 2 or 3 only")
     if bins**n > _MAX_CELLS:
         raise MemoryBudgetError(f"{bins}^{n} cells exceed the memory budget")
-    # the orbit streams through one reused buffer of _CHUNK_ELEMENTS states
-    per_chunk = max(1, min(iterations_each, _CHUNK_ELEMENTS // (realizations * n)))
-    need = (per_chunk + 1) * realizations * n * 8  # the buffer and the starts
-    if need > _MAX_ENSEMBLE_BYTES:
-        raise MemoryBudgetError(f"{realizations} realizations of {n} sites "
-                                f"need {need / 1e9:.2f} GB, over the budget")
-    rng = _rng_for(seed)
-    states = rng.uniform(0.0, 1.0, size=(realizations, n))
     counts = np.zeros(bins**n, dtype=np.int64)
     strides = bins ** np.arange(n - 1, -1, -1)
-    chunk = np.empty((per_chunk, realizations, n))
-    skip = burn_in
-    for start in range(0, iterations_each, per_chunk):
-        m = min(per_chunk, iterations_each - start)
-        block = _orbit(spec, states, m, noise, rng, skip, out=chunk[:m])
-        idx = np.minimum((block * bins).astype(np.int64), bins - 1)
-        np.add.at(counts, (idx @ strides).ravel(), 1)
-        states, skip = block[-1], 1
+
+    def cells(chunk):
+        return np.minimum((chunk * bins).astype(np.int64), bins - 1) @ strides
+
+    def fold(codes, start):
+        counts[:] += np.bincount(codes.ravel().astype(np.int64),
+                                 minlength=counts.size)
+
+    point = GridPoint(n, spec.gamma, noise.epsilon, seed, realizations)
+    lockstep_gaps(spec.local_map, [point], iterations_each, burn_in, cells,
+                  fold)
     return DensityHistogram(
         n=n,
         bins_per_axis=bins,
@@ -129,22 +115,6 @@ def diagonal_trace(hist: DensityHistogram, band: float | None = None) -> Diagona
             raise DomainError("empty diagonal tube")
         values[i] = float(np.mean(block))
     return DiagonalTrace(grid=centers, values=values, band_width=band)
-
-
-def trace_oscillation(trace_narrow: DiagonalTrace, trace_wide: DiagonalTrace) -> float:
-    """Finite-difference proxy for the diagonal oscillation of the density.
-
-    Compares traces at two band widths (the wide one should be about twice
-    the narrow one); a diagnostic, not a proof of bounded oscillation.
-    """
-    if trace_wide.band_width <= trace_narrow.band_width:
-        raise DomainError("second trace must use the wider band")
-    if trace_narrow.grid.shape != trace_wide.grid.shape:
-        raise DomainError("traces must share a grid")
-    return float(
-        np.max(np.abs(trace_narrow.values - trace_wide.values))
-        / trace_narrow.band_width
-    )
 
 
 def export_density_csv(hist: DensityHistogram, path) -> None:

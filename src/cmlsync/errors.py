@@ -9,14 +9,6 @@ class DomainError(CmlSyncError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class BoundaryError(CmlSyncError, ValueError):
-    """A lattice component sits exactly on a branch discontinuity."""
-
-
-class InvalidBlocksError(CmlSyncError, ValueError):
-    """Block specification overlaps or leaves a block with < 2 indices."""
-
-
 class DegenerateSeriesError(CmlSyncError, ValueError):
     """A series is unusable (e.g. all values infinite or all equal)."""
 
@@ -42,10 +34,6 @@ class HypothesisViolationError(CmlSyncError, ValueError):
 
 class MemoryBudgetError(CmlSyncError, ValueError):
     """Requested grid would exceed the configured memory budget."""
-
-
-class HorizonError(CmlSyncError, ValueError):
-    """Rescaled observation horizon exceeds the trajectory length."""
 
 
 class ConvergenceError(CmlSyncError, RuntimeError):

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateSeriesError,
     DomainError,
     FitError,
-    HorizonError,
     InsufficientVisitsError,
 )
 
@@ -100,25 +99,6 @@ class EiEstimate:
 # ---------------------------------------------------------------------------
 # GEV / GPD
 # ---------------------------------------------------------------------------
-
-def gev_cdf(y, mu: float, sigma: float, xi: float):
-    """exp{-[1 + xi (y-mu)/sigma]^(-1/xi)}; Gumbel limit for xi ~ 0.
-
-    Outside the support the CDF saturates at 0 (right-unbounded side) or 1.
-    """
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    y = np.asarray(y, dtype=float)
-    z = (y - mu) / sigma
-    if abs(xi) < _XI_GUMBEL_EPS:
-        out = np.exp(-np.exp(-z))
-    else:
-        t = 1.0 + xi * z
-        sat = 0.0 if xi > 0 else 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(t > 0.0, np.exp(-np.power(np.maximum(t, 1e-300), -1.0 / xi)), sat)
-    return out if out.ndim else float(out)
-
 
 def _gev_nll(params: np.ndarray, y: np.ndarray) -> float:
     xi, mu, sigma = params
@@ -706,32 +686,3 @@ def compound_poisson_pmf_array(t: float, p: float, size: int) -> np.ndarray:
         log_scale[k] = shift
     with np.errstate(divide="ignore"):
         return np.exp(np.log(mant) + log_scale)
-
-
-def count_visits(
-    trajectory: np.ndarray,
-    accuracy: float,
-    t: float,
-    strip_measure: float | None = None,
-) -> int:
-    """Number of strip hits among the first floor(t / mu(strip)) iterates.
-
-    ``strip_measure`` is mu of the diagonal strip; when omitted it is
-    estimated empirically as the fraction of the supplied trajectory inside
-    the strip (a calibration run can supply a better value).
-    """
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
-    ind = strip_indicator(trajectory, accuracy)
-    if strip_measure is None:
-        strip_measure = float(np.mean(ind))
-        if strip_measure == 0.0:
-            raise DegenerateSeriesError("trajectory never enters the strip")
-    horizon = int(t / strip_measure)
-    if horizon == 0:
-        return 0
-    if horizon > ind.size - 1:
-        raise HorizonError(
-            f"horizon {horizon} exceeds trajectory length {ind.size}"
-        )
-    return int(np.count_nonzero(ind[1 : horizon + 1]))

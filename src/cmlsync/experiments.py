@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -82,12 +81,11 @@ class ExperimentConfig:
     realizations: int = 10
     seed: int = 0
     burn_in: int = 1000
-    threads: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
         for name, minimum in (("slope", 2), ("length", 2), ("realizations", 1),
-                              ("seed", 0), ("burn_in", 0), ("threads", 1)):
+                              ("seed", 0), ("burn_in", 0)):
             setattr(self, name, int_field(name, getattr(self, name), minimum))
         for name, item in (
                 ("n_values", partial(int_field, minimum=2)),
@@ -100,6 +98,9 @@ class ExperimentConfig:
                 and self.observable in observables.OBSERVABLES):
             raise ConfigError(f"unknown observable {self.observable!r}; "
                               f"expected one of {sorted(observables.OBSERVABLES)}")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigError(f"n_values {list(self.n_values)} repeat a "
+                              f"lattice size")
         for name, values, key in (("gamma", self.gamma_values, _gamma_key),
                                   ("epsilon", self.epsilons, _eps_key)):
             seen = {}
@@ -209,25 +210,21 @@ def _sweep(config: ExperimentConfig, worker, *tag: int, **group) -> list:
 
 def _pass(config: ExperimentConfig, worker, groups: list[list[GridPoint]]
           ) -> list:
-    """`_sweep` over the n-groups of one lock-step pass.  With threads > 1
-    the workers run on a pool of that many threads."""
+    """`_sweep` over the n-groups of one lock-step pass."""
     series, finals = lockstep_gaps(
         config.local_map, [p for points in groups for p in points],
         config.length, config.burn_in,
         observables.OBSERVABLES[config.observable].value)
-    finals, start, observed = iter(finals), 0, []
+    finals, start, out = iter(finals), 0, []
     for points in groups:
-        observed.append([])
+        observed = []
         for p in points:
             rows = series[start:start + p.realizations]
             start += p.realizations
-            observed[-1].append((p, rows, _collapsed(
+            observed.append((p, rows, _collapsed(
                 next(finals), MapSpec(config.local_map, p.n, p.gamma))))
-    ns = [points[0].n for points in groups]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, ns, observed))
-    return [worker(n, points) for n, points in zip(ns, observed)]
+        out.append(worker(points[0].n, observed))
+    return out
 
 
 def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
@@ -583,9 +580,9 @@ FIGURE_IDS = ("dens1", "dens", "d32", "CLM_t", "CLM", "CLM_csi",
               "global_Poisson", "local_Poisson")
 
 
-def _figure_config(figure_id: str, seed: int, threads: int) -> ExperimentConfig:
+def _figure_config(figure_id: str, seed: int) -> ExperimentConfig:
     gammas = tuple(round(0.1 * i, 1) for i in range(7))
-    base = dict(seed=seed, threads=threads)
+    base = dict(seed=seed)
     if figure_id == "d32":
         return ExperimentConfig(n_values=(2, 3), gamma_values=gammas, **base)
     if figure_id == "CLM_t":
@@ -625,14 +622,13 @@ def _figure_config(figure_id: str, seed: int, threads: int) -> ExperimentConfig:
                       f"expected one of {FIGURE_IDS}")
 
 
-def reproduce(figure_id: str, out_dir: str, seed: int = 0,
-              threads: int = 1) -> dict:
+def reproduce(figure_id: str, out_dir: str, seed: int = 0) -> dict:
     """Emit the plot-ready data files for one figure, plus a manifest.
 
     Re-running with the manifest's figure id and seed regenerates every file
     byte-for-byte.
     """
-    config = _figure_config(figure_id, seed, threads)
+    config = _figure_config(figure_id, seed)
     make_output_dir(out_dir)
     outputs: list[str] = []
     extra: dict = {}
@@ -692,10 +688,11 @@ def reproduce_from_manifest(manifest_path: str, out_dir: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     try:
-        figure_id = manifest["figure_id"]
-        seed = manifest["seed"]
-        threads = manifest["config"].get("threads", 1)
-    except (KeyError, TypeError, AttributeError) as exc:
+        figure_id, seed = manifest["figure_id"], manifest["seed"]
+        if not isinstance(manifest["config"], dict):
+            raise TypeError("config is not an object")
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed manifest: {exc!r}") from exc
-    # reproduce checks figure_id, and its ExperimentConfig seed and threads
-    return reproduce(figure_id, out_dir, seed=seed, threads=threads)
+    # reproduce checks figure_id, and its ExperimentConfig the seed; the
+    # config's keys, such as the threads of older manifests, are not read
+    return reproduce(figure_id, out_dir, seed=seed)

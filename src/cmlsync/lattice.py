@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError, MemoryBudgetError
+from .errors import DomainError, MemoryBudgetError
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ class LocalMap:
         arr = _check_unit(np.asarray(x, dtype=float), "local map argument")
         d = np.asarray(self.slopes)[self._branch_index(arr)]
         return d if arr.ndim else float(d)
-
-    def on_interior_boundary(self, x) -> np.ndarray:
-        """True where x coincides exactly with an interior branch boundary."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        interior = np.asarray(self.boundaries)[1:-1]
-        return np.isin(arr, interior)
 
 
 @dataclass(frozen=True)
@@ -326,7 +320,6 @@ def _orbit(
     noise: NoiseSpec,
     rng: np.random.Generator,
     burn_in: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (length, R, n) orbit of the (R, n) states ``x`` under one spec.
 
@@ -335,17 +328,15 @@ def _orbit(
     unchecked.  Noise is drawn in blocks of steps with one
     ``rng.uniform(-0.5, 0.5, size=(block, R, n))`` call, which consumes the
     stream exactly as one draw per step would, and no further than the last
-    step taken.  ``out`` receives the orbit when given (a reused contiguous
-    buffer); otherwise it is allocated here, within `_MAX_ENSEMBLE_BYTES`.
+    step taken.  The orbit is allocated here, within `_MAX_ENSEMBLE_BYTES`.
     """
     x = validate_state(x, spec.n)
     if length < 1 or burn_in < 0:
         raise DomainError("need length >= 1 and burn-in >= 0")
     realizations, n = x.shape
-    if out is None:
-        _check_budget(length * realizations * n * 8,
-                      f"ensemble of {length} x {realizations} x {n} states")
-        out = np.empty((length, realizations, n))
+    _check_budget(length * realizations * n * 8,
+                  f"ensemble of {length} x {realizations} x {n} states")
+    out = np.empty((length, realizations, n))
     eps = noise.epsilon
     draw = None
     if eps != 0.0:
@@ -537,15 +528,6 @@ def step_noisy(
     if noise.epsilon != 0.0:
         _kick(out, noise.epsilon * rng.uniform(-0.5, 0.5, size=out.shape))
     return out
-
-
-def jacobian_det(state: np.ndarray, spec: MapSpec) -> float:
-    """|det D T_hat| = (1-gamma)^(n-1) * prod_k |T'(x_k)| for one step."""
-    state = validate_state(state, spec.n)
-    if np.any(spec.local_map.on_interior_boundary(state)):
-        raise BoundaryError("component sits exactly on a branch discontinuity")
-    slopes = np.abs(spec.local_map.derivative(state))
-    return (1.0 - spec.gamma) ** (spec.n - 1) * float(np.prod(slopes))
 
 
 def coupling_matrix(n: int, gamma: float) -> np.ndarray:

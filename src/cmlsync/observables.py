@@ -1,18 +1,16 @@
 """Scalar observables along lattice trajectories.
 
-Five observables of a lattice state, each of the form -log(gap) so that large
-values mean the state is close to a distinguished set:
+Three synchronization observables of a lattice state, each of the form
+-log(gap) so that large values mean the state is close to a diagonal set:
 
-* localization: gap = l1 distance to a fixed target configuration
 * global sync:  gap = max pairwise spread, max(x) - min(x)
-* local sync:   gap = max nearest-neighbor spread (chain or ring)
+* local sync:   gap = max nearest-neighbor spread along the chain
 * pair sync:    gap = min nearest-neighbor spread (closest adjacent pair)
-* block sync:   gap = max within-block spread over disjoint index blocks
 
 All gaps use plain interval distances.  A gap of 0 yields +inf, a legal value
 treated downstream as an exceedance of every finite threshold.  Evaluators
-accept a single state (n,) or a stacked array (..., n).  The sweep
-observables, with their closed-form extremal indices, are `OBSERVABLES`.
+accept a single state (n,) or a stacked array (..., n).  The observables,
+with their closed-form extremal indices, are `OBSERVABLES`.
 """
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import theory
-from .errors import DegenerateSeriesError, DomainError, InvalidBlocksError
+from .errors import DegenerateSeriesError, DomainError
 
 
 def _neg_log(gap: np.ndarray):
@@ -56,26 +54,20 @@ def _spread(state) -> np.ndarray:
 
 
 def _neighbor_gap(combine):
-    """combine(|x_{i+1} - x_i|) over a chain; a ring adds |x_n - x_1| (n > 2).
+    """combine(|x_{i+1} - x_i|) over the chain of sites.
 
     ``combine`` is np.maximum or np.minimum, run column by column as in
     `_spread`; subtraction and abs are exact, so the bits are those of the
     reduction of ``abs(diff(x))``.
     """
-    def gap(state, boundary: str = "chain") -> np.ndarray:
+    def gap(state) -> np.ndarray:
         state = _sites(state)
-        if boundary not in ("chain", "ring"):
-            raise DomainError("boundary must be 'chain' or 'ring'")
-        n = state.shape[-1]
-        pairs = [(i + 1, i) for i in range(n - 1)]
-        if boundary == "ring" and n > 2:
-            pairs.append((n - 1, 0))
         out = np.subtract(state[..., 1], state[..., 0],
                           out=np.empty(state.shape[:-1]))
         np.abs(out, out=out)
         step = np.empty_like(out)
-        for i, j in pairs[1:]:
-            np.subtract(state[..., i], state[..., j], out=step)
+        for i in range(2, state.shape[-1]):
+            np.subtract(state[..., i], state[..., i - 1], out=step)
             np.abs(step, out=step)
             combine(out, step, out=out)
         return out[()]
@@ -87,12 +79,12 @@ class Observable:
     """A sweep observable -log(gap).  ``ei_sites(n)`` is the lattice size
     whose closed-form theta holds at size n; None where the code has none."""
 
-    gap: Callable[..., np.ndarray]
+    gap: Callable[[np.ndarray], np.ndarray]
     ei_sites: Callable[[int], int] | None = None
 
-    def value(self, states, **kwargs):
+    def value(self, states):
         """-log(gap) of states (..., n); +inf where the gap is 0."""
-        return _neg_log(self.gap(states, **kwargs))
+        return _neg_log(self.gap(states))
 
     def closed_form_ei(self, n: int, gamma: float, local_map):
         """(theta_theory, theta_asymptotic) from the flat trace, or Nones;
@@ -114,81 +106,17 @@ OBSERVABLES = {
 }
 
 
-def eval_localization(state: np.ndarray, target: np.ndarray):
-    """-log sum_i |x_i - z_i|; +inf iff the state equals the target."""
-    state = np.asarray(state, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if target.shape != state.shape[-1:]:
-        raise DomainError("target must have the same number of components")
-    return _neg_log(np.sum(np.abs(state - target), axis=-1))
-
-
 def eval_global_sync(state: np.ndarray):
     """-log max_{i!=j} |x_i - x_j| = -log (max - min); +inf on the diagonal."""
     return _neg_log(_spread(state))
 
 
-def eval_local_sync(state: np.ndarray, boundary: str = "chain"):
-    """-log of the max nearest-neighbor gap.
-
-    ``chain`` uses pairs (i, i+1) only; ``ring`` adds the wrap-around pair.
-    """
-    return _neg_log(OBSERVABLES["local_sync"].gap(state, boundary))
-
-
-def eval_pair_sync(state: np.ndarray, boundary: str = "chain"):
-    """-log of the MINIMUM nearest-neighbor gap: close-pair synchronization.
-
-    High values mean *some* adjacent pair has synchronized, regardless of the
-    rest of the lattice.
-    """
-    return _neg_log(OBSERVABLES["pair_sync"].gap(state, boundary))
-
-
-def _check_blocks(blocks, n: int) -> list[np.ndarray]:
-    seen: set[int] = set()
-    cleaned = []
-    for block in blocks:
-        idx = np.asarray(block, dtype=int)
-        if idx.size < 2:
-            raise InvalidBlocksError("every block needs at least 2 indices")
-        if np.any(idx < 0) or np.any(idx >= n):
-            raise InvalidBlocksError("block index out of range")
-        if seen & set(idx.tolist()):
-            raise InvalidBlocksError("blocks must be disjoint")
-        seen |= set(idx.tolist())
-        cleaned.append(idx)
-    if not cleaned:
-        raise InvalidBlocksError("need at least one block")
-    return cleaned
-
-
-def eval_block_sync(state: np.ndarray, blocks):
-    """-log of the max within-block spread; indices outside blocks ignored.
-
-    ``blocks`` is a list of 0-based index collections.
-    """
-    state = np.asarray(state, dtype=float)
-    cleaned = _check_blocks(blocks, state.shape[-1])
-    gap = np.zeros(state.shape[:-1])
-    for idx in cleaned:
-        gap = np.maximum(gap, _spread(state[..., idx]))
-    return _neg_log(gap)
-
-
-def evaluate_series(trajectory: np.ndarray, kind: str, **kwargs) -> np.ndarray:
-    """Apply an observable along a trajectory (length, ..., n).
-
-    ``kind`` names an `OBSERVABLES` record (``boundary=`` for the neighbor
-    gaps), ``localization`` (``target=``) or ``block_sync`` (``blocks=``).
-    """
-    if kind in OBSERVABLES:
-        return OBSERVABLES[kind].value(trajectory, **kwargs)
-    if kind == "localization":
-        return eval_localization(trajectory, **kwargs)
-    if kind == "block_sync":
-        return eval_block_sync(trajectory, **kwargs)
-    raise DomainError(f"unknown observable kind: {kind}")
+def evaluate_series(trajectory: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the `OBSERVABLES` record ``kind`` along a trajectory
+    (length, ..., n)."""
+    if kind not in OBSERVABLES:
+        raise DomainError(f"unknown observable kind: {kind}")
+    return OBSERVABLES[kind].value(trajectory)
 
 
 def running_maximum(series) -> np.ndarray:

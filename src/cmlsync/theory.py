@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError, HypothesisViolationError
-from .lattice import LocalMap, MapSpec, jacobian_det, step
+from .errors import DomainError, HypothesisViolationError
+from .lattice import LocalMap
 
 
 @dataclass
@@ -41,28 +41,6 @@ class SyncIterations:
 
     log10_m: float
     m: int | None  # exact integer when it fits in a double exactly
-
-
-def ei_periodic_point(orbit, spec: MapSpec, tol: float = 1e-9) -> float:
-    """theta = 1 - 1/|det D(T_hat^p)| at a genuine period-p orbit."""
-    orbit = [np.asarray(z, dtype=float) for z in orbit]
-    p = len(orbit)
-    if p == 0:
-        raise DomainError("orbit must contain at least one point")
-    for t, z in enumerate(orbit):
-        nxt = step(z, spec)
-        target = orbit[(t + 1) % p]
-        if np.max(np.abs(nxt - target)) > tol:
-            raise DomainError(
-                f"orbit is not periodic: step {t} misses by "
-                f"{np.max(np.abs(nxt - target)):.2e}"
-            )
-    det = 1.0
-    for z in orbit:
-        det *= jacobian_det(z, spec)  # raises BoundaryError on discontinuities
-    if det <= 1.0:
-        raise BoundaryError("orbit is not repelling: |det| <= 1")
-    return 1.0 - 1.0 / det
 
 
 def branch_aligned_midpoints(local_map: LocalMap, grid_size: int = 10_000):
@@ -151,12 +129,6 @@ def sync_probability_by(m: float, a_c: float, n: int, theta: float) -> float:
     return 1.0 - first_sync_probability(m, a_c, n, theta)
 
 
-def first_localization_probability(m: float, a_c: float, n: int) -> float:
-    """P(no localization within m iterations): e^{-m a_c^n}."""
-    _check_prob_inputs(m, a_c, n)
-    return math.exp(-m * a_c**n)
-
-
 def _check_prob_inputs(m: float, a_c: float, n: int) -> None:
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -190,24 +162,6 @@ def iterations_for_sync(
         m = int(math.ceil(-math.log1p(-p_target) / (theta * a_c ** (n - 1))))
         log10_m = math.log10(m)
     return SyncIterations(log10_m=log10_m, m=m)
-
-
-def leb_ratio(n: int, gamma: float) -> float:
-    """Volume ratio of the coupling-widened strip to the plain strip."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError("gamma must lie in [0, 1)")
-    return (1.0 - gamma) ** (1 - n)
-
-
-def strip_measure_upper_bound(n: int, nu: float) -> float:
-    """(2 nu)^{n-1}, an upper bound for Leb of the diagonal strip."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if not 0.0 < nu < 1.0:
-        raise DomainError("nu must lie in (0, 1)")
-    return min((2.0 * nu) ** (n - 1), 1.0)
 
 
 def theory_table(n_values, gamma_values, local_map: LocalMap) -> list[tuple]:

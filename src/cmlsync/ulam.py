@@ -10,14 +10,12 @@ deficit of its leading eigenvalue encodes the extremal index through
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, DomainError, MemoryBudgetError
 from .evt import EiEstimate
@@ -68,7 +66,6 @@ class PerturbedOperator:
     base: UlamOperator
     nu: float
     hole_cells: np.ndarray  # flat indices with |cx - cy| <= nu at the center
-    boundary_cells: np.ndarray  # cells whose box meets the strip, center outside
 
 
 def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperator:
@@ -88,6 +85,9 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
     ascending, each value the sequential sum of ``count`` sample weights
     (what scipy's duplicate summation of the samples gives).
     """
+    # imported here: no other command of the package pays for scipy.sparse
+    from scipy import sparse
+
     if spec.n != 2:
         raise DomainError("Ulam construction supports n = 2 only")
     if not 1 <= k <= _MAX_BINS:
@@ -182,8 +182,7 @@ def make_perturbed(op: UlamOperator, nu: float) -> PerturbedOperator:
     hole = np.flatnonzero(gap <= nu)
     if hole.size >= op.cells:
         raise DomainError("hole covers the whole domain")
-    boundary = np.flatnonzero((gap > nu) & (gap <= nu + 1.0 / op.k))
-    return PerturbedOperator(base=op, nu=nu, hole_cells=hole, boundary_cells=boundary)
+    return PerturbedOperator(base=op, nu=nu, hole_cells=hole)
 
 
 def perturbed_leading_eigenvalue(
@@ -263,16 +262,6 @@ def ei_spectral(
             ],
         },
     )
-
-
-def export_operator_csv(op: UlamOperator, path) -> None:
-    """Sparse triplet dump: `row,col,value`."""
-    coo = op.matrix.tocoo()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            writer.writerow([r, c, f"{v:.17g}"])
 
 
 def export_spectral_report(estimate: EiEstimate, path) -> None:

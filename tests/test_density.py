@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from cmlsync import lattice
 from cmlsync.density import (
     DensityHistogram,
     DiagonalTrace,
@@ -11,10 +12,9 @@ from cmlsync.density import (
     estimate_density,
     export_density_csv,
     export_trace_csv,
-    trace_oscillation,
 )
 from cmlsync.errors import DomainError, MemoryBudgetError
-from cmlsync.lattice import MapSpec, NoiseSpec
+from cmlsync.lattice import MapSpec, NoiseSpec, simulate_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -67,20 +67,21 @@ class TestEstimateDensity:
                              noise=NoiseSpec(1e-2))
         assert not np.array_equal(a.counts, b.counts)
 
-    def test_merge(self, tripling):
-        spec = MapSpec(tripling, 2, 0.3)
-        a = estimate_density(spec, 5, 100, 10, seed=3, burn_in=10)
-        b = estimate_density(spec, 5, 100, 10, seed=4, burn_in=10)
-        m = a.merge(b)
-        assert m.total_samples == a.total_samples + b.total_samples
-        assert np.array_equal(m.counts, a.counts + b.counts)
-
-    def test_merge_shape_mismatch(self, tripling):
-        spec = MapSpec(tripling, 2, 0.3)
-        a = estimate_density(spec, 2, 50, 10, seed=3, burn_in=10)
-        b = estimate_density(spec, 2, 50, 12, seed=3, burn_in=10)
-        with pytest.raises(DomainError):
-            a.merge(b)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    def test_counts_are_the_ensemble_cells(self, tripling, n, eps):
+        # the pass's chunks resume the orbit: a length of two chunks and a
+        # part of one, from burn-in 0
+        spec, r, bins = MapSpec(tripling, n, 0.3), 8, 9
+        length = 2 * (lattice._CHUNK_ELEMENTS // (r * n)) + 3
+        hist = estimate_density(spec, r, length, bins, seed=5,
+                                noise=NoiseSpec(eps), burn_in=0)
+        orbit = simulate_ensemble(spec, r, length, 5, NoiseSpec(eps), 0)
+        cells = np.minimum((orbit * bins).astype(np.int64), bins - 1)
+        codes = cells @ (bins ** np.arange(n - 1, -1, -1))
+        expect = np.bincount(codes.ravel(), minlength=bins**n)
+        assert np.array_equal(hist.counts, expect.reshape((bins,) * n))
+        assert hist.total_samples == r * length
 
 
 class TestDiagonalTrace:
@@ -99,15 +100,6 @@ class TestDiagonalTrace:
         out = np.asarray(f(x))
         assert out.shape == x.shape
         assert np.all(np.abs(out - 1.0) < 0.15)
-
-    def test_oscillation_diagnostic(self, hist_flat):
-        narrow = diagonal_trace(hist_flat, band=0.1)
-        wide = diagonal_trace(hist_flat, band=0.2)
-        osc = trace_oscillation(narrow, wide)
-        assert osc >= 0.0
-        assert osc < 1.0  # flat density: traces nearly coincide
-        with pytest.raises(DomainError):
-            trace_oscillation(wide, narrow)
 
     def test_trace_feeds_formula(self, hist_flat, tripling):
         # A near-flat estimated trace should reproduce the flat closed form.

@@ -10,7 +10,6 @@ from cmlsync import evt
 from cmlsync.errors import (
     DomainError,
     FitError,
-    HorizonError,
     InsufficientVisitsError,
 )
 from cmlsync.evt import (
@@ -21,31 +20,15 @@ from cmlsync.evt import (
     _gpd_nll,
     compound_poisson_pmf,
     compound_poisson_pmf_array,
-    count_visits,
     extract_clusters,
     fit_gev_mle,
     fit_gpd_mle,
-    gev_cdf,
     poisson_pmf,
     qk_return_estimator,
     strip_indicator,
     suveges_ei,
     waiting_time_epdf,
 )
-
-
-class TestGevCdf:
-    def test_gumbel_branch_continuity(self):
-        y = np.linspace(-3, 6, 20)
-        near_zero = gev_cdf(y, 0.0, 1.0, 1e-8)
-        gumbel = np.exp(-np.exp(-y))
-        assert np.allclose(near_zero, gumbel, atol=1e-6)
-
-    def test_support_saturation(self):
-        # xi > 0: lower endpoint mu - sigma/xi
-        assert gev_cdf(-10.0, 0.0, 1.0, 0.5) == 0.0
-        # xi < 0: upper endpoint
-        assert gev_cdf(10.0, 0.0, 1.0, -0.5) == 1.0
 
 
 class TestGevFit:
@@ -413,17 +396,3 @@ class TestPmfs:
         t, p = 3.0, 0.4
         mean = sum(k * compound_poisson_pmf(t, p, k) for k in range(2000))
         assert mean == pytest.approx(t, rel=1e-9)
-
-
-class TestCountVisits:
-    def test_counts_first_window(self, rng):
-        traj = rng.uniform(0, 1, (5000, 2))
-        c = count_visits(traj, accuracy=0.1, t=0.5)
-        ind = strip_indicator(traj, 0.1)
-        horizon = int(0.5 / ind.mean())
-        assert c == int(ind[1:horizon + 1].sum())
-
-    def test_horizon_error(self, rng):
-        traj = rng.uniform(0, 1, (100, 2))
-        with pytest.raises(HorizonError):
-            count_visits(traj, accuracy=0.01, t=50.0)

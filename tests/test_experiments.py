@@ -53,8 +53,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(observable="nope")
         with pytest.raises(ConfigError):
-            ExperimentConfig(threads=0)
-        with pytest.raises(ConfigError):
             ExperimentConfig(slope=1)
         for field in ("length", "realizations", "burn_in"):
             for bad in (2.5, float("nan"), "100", True):
@@ -82,6 +80,21 @@ class TestConfig:
             ExperimentConfig(epsilons=(0.0, 1e-9))
         ExperimentConfig(gamma_values=(0.3, 0.3001), epsilons=(0.0, 1e-8))
 
+    @pytest.mark.parametrize("command, n_values", [
+        ("ei-sweep", [2, 2]), ("waiting-times", [4, 2, 4])],
+        ids=["ei-sweep", "waiting-times"])
+    def test_repeated_n_rejected(self, tmp_path, command, n_values):
+        with pytest.raises(ConfigError, match="repeat"):
+            ExperimentConfig(n_values=n_values)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_values": n_values,
+                                   "gamma_values": [0.3], "length": 500,
+                                   "realizations": 1, "burn_in": 10}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
     def test_warning_above_hypothesis_bound(self):
         cfg = small_config(gamma_values=(0.1, 0.8))
         assert any("0.8" in w for w in cfg.warnings())
@@ -108,8 +121,7 @@ class TestEiSweep:
     def test_deterministic_and_threaded(self):
         r1 = run_ei_sweep(small_config())
         r2 = run_ei_sweep(small_config())
-        r3 = run_ei_sweep(small_config(threads=2))
-        assert r1.rows == r2.rows == r3.rows
+        assert r1.rows == r2.rows
 
     @pytest.mark.parametrize("observable, n, length, two_site, qk", [
         pytest.param("global_sync", 2, 2000, True, False, id="global_sync"),
@@ -356,6 +368,19 @@ class TestReproduce:
             with open(first / name, "rb") as fa, open(second / name, "rb") as fb:
                 assert fa.read() == fb.read()
 
+    def test_legacy_manifest_with_threads_replays(self, tmp_path):
+        manifest = reproduce("global_Poisson", str(tmp_path / "a"), seed=3)
+        legacy = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        legacy["config"]["threads"] = 2
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(legacy))
+        replay = reproduce_from_manifest(str(path), str(tmp_path / "b"))
+        del legacy["config"]["threads"]
+        assert replay == legacy == manifest
+        for name in manifest["outputs"] + ["manifest.json"]:
+            assert (tmp_path / "b" / name).read_bytes() == \
+                (tmp_path / "a" / name).read_bytes()
+
     def test_malformed_manifest_is_config_error(self, tmp_path):
         path = tmp_path / "manifest.json"
         for manifest in ({"figure_id": "global_Poisson", "seed": 0, "config": []},
@@ -397,6 +422,21 @@ class TestCli:
         code = main(["ei-sweep", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "ei_sweep.csv").exists()
+
+    def test_threads_are_accepted_and_ignored(self, tmp_path):
+        config = {"n_values": [2, 3], "gamma_values": [0.1], "length": 1500,
+                  "realizations": 2, "burn_in": 50}
+        outputs = []
+        for tag, extra, flags in (("plain", {}, []),
+                                  ("flag", {}, ["--threads", "2"]),
+                                  ("key", {"threads": 3}, [])):
+            cfg = tmp_path / f"{tag}.json"
+            cfg.write_text(json.dumps({**config, **extra}))
+            out = tmp_path / tag
+            assert main(["ei-sweep", "--config", str(cfg), *flags,
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append((out / "ei_sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_global_flags_before_subcommand(self, tmp_path):
         out = tmp_path / "theory2"

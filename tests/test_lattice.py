@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmlsync import density, lattice
+from cmlsync import lattice
 from cmlsync.density import estimate_density
-from cmlsync.errors import BoundaryError, DomainError, MemoryBudgetError
+from cmlsync.errors import DomainError, MemoryBudgetError
 from cmlsync.observables import OBSERVABLES
 from cmlsync.lattice import (
     _NOISE_BLOCK_STEPS,
@@ -21,7 +21,6 @@ from cmlsync.lattice import (
     coupling_det,
     coupling_matrix,
     export_trajectory_csv,
-    jacobian_det,
     lockstep_gaps,
     simulate,
     simulate_ensemble,
@@ -117,18 +116,6 @@ class TestNoise:
         for eps in (-0.1, np.nan, np.inf):
             with pytest.raises(DomainError):
                 NoiseSpec(eps)
-
-
-class TestJacobian:
-    def test_closed_form(self, tripling):
-        spec = MapSpec(tripling, 5, 0.2)
-        x = np.array([0.11, 0.42, 0.77, 0.05, 0.9])
-        assert jacobian_det(x, spec) == pytest.approx(0.8**4 * 3**5)
-
-    def test_boundary_point_raises(self, tripling):
-        spec = MapSpec(tripling, 2, 0.1)
-        with pytest.raises(BoundaryError):
-            jacobian_det(np.array([1.0 / 3.0, 0.5]), spec)
 
 
 class TestCoupling:
@@ -374,9 +361,9 @@ class TestKernelOracle:
         spec = MapSpec(LocalMap.affine_mod1(slope), n, gamma)
         expect = ref_density(spec, r, iterations, 7, seed, NoiseSpec(eps),
                              burn_in)
-        # small chunks make the histogram loop resume the orbit many times
+        # small chunks make the pass resume the orbit many times
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(density, "_CHUNK_ELEMENTS", chunk_elements)
+            mp.setattr(lattice, "_CHUNK_ELEMENTS", chunk_elements)
             got = estimate_density(spec, r, iterations, 7, seed,
                                    NoiseSpec(eps), burn_in)
         assert np.array_equal(got.counts, expect)

@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cmlsync.errors import DegenerateSeriesError, DomainError, InvalidBlocksError
+from cmlsync.errors import DegenerateSeriesError, DomainError
 from cmlsync.observables import (
     OBSERVABLES,
-    eval_block_sync,
     eval_global_sync,
-    eval_local_sync,
-    eval_localization,
-    eval_pair_sync,
     evaluate_series,
     exceedance_indicator,
     running_maximum,
     sync_accuracy_from_threshold,
     threshold_from_quantile,
 )
+
+LOCAL, PAIR = OBSERVABLES["local_sync"], OBSERVABLES["pair_sync"]
 
 unit_states = arrays(
     np.float64,
@@ -29,14 +27,6 @@ unit_states = arrays(
 
 
 class TestPointEvaluations:
-    def test_localization_hand_value(self):
-        assert eval_localization([0.1, 0.4], [0.2, 0.6]) == pytest.approx(
-            -math.log(0.3)
-        )
-
-    def test_localization_exact_hit_is_inf(self):
-        assert eval_localization([0.3, 0.3], [0.3, 0.3]) == math.inf
-
     def test_global_sync_pair(self):
         assert eval_global_sync([0.1, 0.4]) == pytest.approx(-math.log(0.3))
 
@@ -48,29 +38,19 @@ class TestPointEvaluations:
 
     def test_local_sync_chain_hand_value(self):
         # neighbor gaps 0.1 and 0.6
-        assert eval_local_sync([0.1, 0.2, 0.8]) == pytest.approx(-math.log(0.6))
-
-    def test_local_sync_ring_adds_wraparound(self):
-        val = eval_local_sync([0.1, 0.2, 0.8], boundary="ring")
-        assert val == pytest.approx(-math.log(0.7))
+        assert LOCAL.value([0.1, 0.2, 0.8]) == pytest.approx(-math.log(0.6))
 
     def test_local_sync_n2_equals_global(self):
         x = [0.15, 0.8]
-        assert eval_local_sync(x) == eval_global_sync(x)
-        assert eval_local_sync(x, "ring") == eval_global_sync(x)
+        assert LOCAL.value(x) == eval_global_sync(x)
+        assert PAIR.value(x) == eval_global_sync(x)
 
     def test_pair_sync_takes_closest_pair(self):
-        assert eval_pair_sync([0.1, 0.2, 0.8]) == pytest.approx(-math.log(0.1))
-
-    def test_block_sync_hand_value(self):
-        val = eval_block_sync([0.1, 0.2, 0.5, 0.9], blocks=[[0, 1], [2, 3]])
-        assert val == pytest.approx(-math.log(0.4))
-
-    def test_block_validation(self):
-        with pytest.raises(InvalidBlocksError):
-            eval_block_sync([0.1, 0.2, 0.3], blocks=[[0, 1], [1, 2]])
-        with pytest.raises(InvalidBlocksError):
-            eval_block_sync([0.1, 0.2], blocks=[[0]])
+        assert PAIR.value([0.1, 0.2, 0.8]) == pytest.approx(-math.log(0.1))
+        series = evaluate_series([[0.1, 0.2, 0.8], [0.5, 0.1, 0.4]],
+                                 "pair_sync")
+        assert series.tolist() == [PAIR.value([0.1, 0.2, 0.8]),
+                                   PAIR.value([0.5, 0.1, 0.4])]
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -82,7 +62,7 @@ class TestProperties:
     @given(unit_states)
     def test_pair_set_monotonicity(self, x):
         # more pairs -> larger max gap -> smaller observable
-        assert eval_global_sync(x) <= eval_local_sync(x) <= eval_pair_sync(x)
+        assert eval_global_sync(x) <= LOCAL.value(x) <= PAIR.value(x)
 
     @settings(max_examples=300, deadline=None)
     @given(unit_states, st.randoms())
@@ -124,18 +104,11 @@ class TestColumnGaps:
         if strided:  # a view that is not contiguous, as the pass hands over
             x = x[..., 1:]
         diffs = np.abs(np.diff(x, axis=-1))
-        ring = diffs
-        if n > 2:
-            wrap = np.abs(x[..., -1:] - x[..., :1])
-            ring = np.concatenate([diffs, wrap], axis=-1)
-        local, pair = OBSERVABLES["local_sync"], OBSERVABLES["pair_sync"]
         for got, want in (
                 (OBSERVABLES["global_sync"].gap(x),
                  np.max(x, axis=-1) - np.min(x, axis=-1)),
-                (local.gap(x), np.max(diffs, axis=-1)),
-                (pair.gap(x), np.min(diffs, axis=-1)),
-                (local.gap(x, "ring"), np.max(ring, axis=-1)),
-                (pair.gap(x, "ring"), np.min(ring, axis=-1))):
+                (LOCAL.gap(x), np.max(diffs, axis=-1)),
+                (PAIR.gap(x), np.min(diffs, axis=-1))):
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -167,12 +140,5 @@ class TestThreshold:
 class TestSeriesEvaluation:
     def test_series_shapes(self, rng):
         traj = rng.uniform(0, 1, (40, 3))
-        for kind, kwargs in [
-            ("global_sync", {}),
-            ("local_sync", {}),
-            ("pair_sync", {}),
-            ("localization", {"target": np.array([0.1, 0.2, 0.3])}),
-            ("block_sync", {"blocks": [[0, 1]]}),
-        ]:
-            s = evaluate_series(traj, kind, **kwargs)
-            assert s.shape == (40,)
+        for kind in OBSERVABLES:
+            assert evaluate_series(traj, kind).shape == (40,)

@@ -1,23 +1,19 @@
-"""Closed-form predictions: periodic-orbit determinants, sync formulas, bounds."""
+"""Closed-form predictions: sync formulas, bounds, sync-time calculators."""
 import math
 
 import numpy as np
 import pytest
 
-from cmlsync.errors import BoundaryError, DomainError, HypothesisViolationError
-from cmlsync.lattice import LocalMap, MapSpec
+from cmlsync.errors import DomainError, HypothesisViolationError
+from cmlsync.lattice import LocalMap
 from cmlsync.theory import (
     SyncIterations,
     TheoryInputs,
-    ei_periodic_point,
     ei_sync_flat_asymptotic,
     ei_sync_formula,
     ei_upper_bound_q0,
-    first_localization_probability,
     first_sync_probability,
     iterations_for_sync,
-    leb_ratio,
-    strip_measure_upper_bound,
     sync_probability_by,
 )
 
@@ -25,42 +21,6 @@ from cmlsync.theory import (
 @pytest.fixture(scope="module")
 def tripling():
     return LocalMap.affine_mod1(3)
-
-
-class TestPeriodicPoint:
-    def test_fixed_point_origin(self, tripling):
-        # At a diagonal fixed point the Jacobian determinant is
-        # (1-gamma)^{n-1} * 3^n, so theta = 1 - 1/that.
-        for n, gamma in [(2, 0.0), (2, 0.3), (3, 0.5), (4, 0.1)]:
-            spec = MapSpec(tripling, n, gamma)
-            z = np.zeros(n)
-            expected = 1.0 - 1.0 / ((1.0 - gamma) ** (n - 1) * 3.0**n)
-            assert ei_periodic_point([z], spec) == pytest.approx(expected, abs=1e-12)
-
-    def test_period_two_uncoupled(self, tripling):
-        # 1/4 -> 3/4 -> 1/4 under tripling; uncoupled so each site follows it.
-        spec = MapSpec(tripling, 2, 0.0)
-        orbit = [np.array([0.25, 0.25]), np.array([0.75, 0.75])]
-        expected = 1.0 - 1.0 / 3.0**4
-        assert ei_periodic_point(orbit, spec) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_non_periodic(self, tripling):
-        spec = MapSpec(tripling, 2, 0.1)
-        with pytest.raises(DomainError):
-            ei_periodic_point([np.array([0.2, 0.4])], spec)
-
-    def test_rejects_empty(self, tripling):
-        with pytest.raises(DomainError):
-            ei_periodic_point([], MapSpec(tripling, 2, 0.1))
-
-    def test_boundary_point_rejected(self, tripling):
-        # 1/3 sits on a branch boundary where the derivative is undefined,
-        # and it maps to the fixed point 0... but [1/3,1/3] isn't periodic,
-        # so use the fixed point check with a boundary state directly.
-        spec = MapSpec(tripling, 2, 0.0)
-        orbit = [np.array([0.0, 1.0 / 3.0]), np.array([0.0, 0.0])]
-        with pytest.raises((BoundaryError, DomainError)):
-            ei_periodic_point(orbit, spec)
 
 
 class TestSyncFormula:
@@ -130,9 +90,6 @@ class TestProbabilities:
         assert first_sync_probability(100.0, 0.1, 2, 0.5) == pytest.approx(
             math.exp(-0.5 * 100.0 * 0.1), abs=1e-15
         )
-        assert first_localization_probability(100.0, 0.1, 2) == pytest.approx(
-            math.exp(-100.0 * 0.01), abs=1e-15
-        )
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -170,20 +127,3 @@ class TestIterationsForSync:
     def test_target_validation(self):
         with pytest.raises(DomainError):
             iterations_for_sync(1.0, 0.01, 3, 0.5)
-
-
-class TestGeometry:
-    def test_leb_ratio(self):
-        assert leb_ratio(2, 0.0) == 1.0
-        assert leb_ratio(3, 0.5) == pytest.approx(4.0)
-        with pytest.raises(DomainError):
-            leb_ratio(1, 0.1)
-        with pytest.raises(DomainError):
-            leb_ratio(2, 1.0)
-
-    def test_strip_bound(self):
-        assert strip_measure_upper_bound(2, 0.05) == pytest.approx(0.1)
-        assert strip_measure_upper_bound(4, 0.3) == pytest.approx(0.216)
-        assert strip_measure_upper_bound(2, 0.9) == 1.0  # capped at full measure
-        with pytest.raises(DomainError):
-            strip_measure_upper_bound(2, 0.0)

@@ -1,5 +1,4 @@
 """Transfer-operator discretization: construction, spectra, open-system EI."""
-import csv
 import dataclasses
 import json
 from unittest import mock
@@ -16,7 +15,6 @@ from cmlsync.lattice import LocalMap, MapSpec, step
 from cmlsync.ulam import (
     build_ulam,
     ei_spectral,
-    export_operator_csv,
     export_spectral_report,
     invariant_density_ulam,
     make_perturbed,
@@ -177,8 +175,7 @@ class TestPerturbed:
         xs, ys = op_coupled.cell_centers()
         gap = np.abs(xs - ys)
         assert np.all(gap[pert.hole_cells] <= 0.05)
-        assert np.all(gap[pert.boundary_cells] > 0.05)
-        assert np.all(gap[pert.boundary_cells] <= 0.05 + 1.0 / op_coupled.k)
+        assert np.all(np.delete(gap, pert.hole_cells) > 0.05)
 
     def test_nu_validation(self, op_coupled):
         with pytest.raises(DomainError):
@@ -219,16 +216,6 @@ class TestEiSpectral:
 
 
 class TestExports:
-    def test_operator_csv(self, op_uncoupled, tmp_path):
-        path = tmp_path / "op.csv"
-        export_operator_csv(op_uncoupled, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["row", "col", "value"]
-        assert len(rows) == 1 + op_uncoupled.matrix.nnz
-        mass = sum(float(r[2]) for r in rows[1:])
-        assert mass == pytest.approx(op_uncoupled.cells)
-
     def test_spectral_report_json(self, op_coupled, tmp_path):
         est = ei_spectral(op_coupled, [0.04, 0.02])
         path = tmp_path / "report.json"
