@@ -1,9 +1,23 @@
 """Ulam discretization of the transfer operator for two-site lattices.
 
-The transfer operator is approximated by a row-stochastic k^2 x k^2 matrix:
-entry (i, j) is the fraction of cell i whose image under the lattice map
-falls in cell j.  The open-system ("hole") variant restricts densities to
-the complement of the diagonal strip before applying the operator; the
+The sampled operator P on the k^2 cells (a, b) commutes bit for bit with
+the swap of the two sites, P(sigma i, sigma j) = P(i, j): the lattice map
+commutes with it, the midpoint subgrid is the same on both axes and
+x + y = y + x in floats.  So the operator is built on the swap sector, the
+k(k+1)/2 unordered cells {a, b} with a <= b in ``np.triu_indices(k)``
+order; the index of (a, b) is a k - a(a - 1)/2 + (b - a).  Entry (I, J) of
+the row-stochastic matrix is the share of cell I's samples whose image lies
+in cell J or in its mirror image:
+
+    Q[I, J] = sum over j in orbit(J) of P[I, j].
+
+Vectors hold orbit masses: the mass of {a, b} is that of (a, b) and (b, a)
+together.  Q^T acts on orbit masses as P^T acts on symmetric vectors, and
+the invariant vector and the open operator's leading vector are symmetric,
+so Q has P's leading eigenvalues at half the cells.
+
+The open-system ("hole") variant restricts densities to the complement of
+the diagonal strip, a union of orbits, before applying the operator; the
 deficit of its leading eigenvalue encodes the extremal index through
 
     1 - rho = theta * mu(strip) * (1 + o(1)).
@@ -29,10 +43,11 @@ _CHUNK_PAIRS = 1 << 14  # sample pairs per build chunk: bounds its temporaries
 
 @dataclass
 class UlamOperator:
-    """Row-stochastic discretization of the transfer operator (n = 2)."""
+    """Row-stochastic discretization of the transfer operator (n = 2) on
+    the swap sector: cells a <= b, vectors of orbit masses."""
 
     spec: MapSpec
-    k: int  # bins per axis; k^2 cells
+    k: int  # bins per axis; k(k+1)/2 cells
     matrix: sparse.csr_matrix
     samples_per_cell: int
 
@@ -49,14 +64,12 @@ class UlamOperator:
 
     @property
     def cells(self) -> int:
-        return self.k * self.k
+        return self.k * (self.k + 1) // 2
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat arrays of (x, y) centers indexed like matrix rows."""
-        c = (np.arange(self.k) + 0.5) / self.k
-        xs = np.repeat(c, self.k)
-        ys = np.tile(c, self.k)
-        return xs, ys
+        """Flat arrays of (x, y) centers, x <= y, indexed like matrix rows."""
+        a, b = np.triu_indices(self.k)
+        return (a + 0.5) / self.k, (b + 0.5) / self.k
 
 
 @dataclass
@@ -69,11 +82,12 @@ class PerturbedOperator:
 
 
 def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperator:
-    """Construct the Ulam matrix by within-cell sampling.
+    """Construct the swap-sector Ulam matrix by within-cell sampling.
 
     Samples sit on a stratified sqrt(samples_per_cell)-per-axis midpoint
-    subgrid (so samples_per_cell must be a perfect square); entry (i, j) is
-    the share of cell i's samples whose image lies in cell j.  The
+    subgrid (so samples_per_cell must be a perfect square); entry (I, J) is
+    the share of cell I's samples whose image, its coordinates sorted, lies
+    in cell J.  Only the k(k+1)/2 cells a <= b are sampled.  The
     deterministic subgrid makes the gamma = 0 operator exact when k is a
     multiple of the local map's branch count.
 
@@ -96,7 +110,8 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
     if s * s != samples_per_cell:
         raise DomainError("samples_per_cell must be a perfect square")
     ss = s * s
-    cells = k * k
+    rep_x, rep_y = np.triu_indices(k)
+    cells = rep_x.size
     # sample coordinates per axis: cell corner plus subgrid offset
     coords = (np.arange(k) / k)[:, None] + ((np.arange(s) + 0.5) / s / k)[None, :]
     # the uncoupled update applies T at every site, here to each coordinate
@@ -112,16 +127,19 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
     for r0 in range(0, cells, rows_per_chunk):
         r1 = min(r0 + rows_per_chunk, cells)
         rows = r1 - r0
-        x_cell, y_cell = np.divmod(np.arange(r0, r1), k)
         # pairs[site, row, a, b]: sample (a, b) of the row's cell, x then y
         pairs = np.empty((2, rows, s, s))
-        pairs[0] = local[x_cell][:, :, None]
-        pairs[1] = local[y_cell][:, None, :]
+        pairs[0] = local[rep_x[r0:r1]][:, :, None]
+        pairs[1] = local[rep_y[r0:r1]][:, None, :]
         _mix(pairs, pairs[0] + pairs[1], keep, share,
              np.empty(pairs.shape, dtype=bool))
         np.multiply(pairs, k, out=pairs)
         target = pairs.astype(np.int64).reshape(2, rows, ss)
         np.minimum(target, k - 1, out=target)
+        # fold each target onto its orbit's representative (min, max)
+        low = np.minimum(target[0], target[1])
+        np.maximum(target[0], target[1], out=target[1])
+        target[0] = low
         # each row's window of target cells, from its own extremes
         lo = target.min(axis=2)
         width = target.max(axis=2) - lo + 1
@@ -138,7 +156,9 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
         per_row = np.add.reduceat(hit, offset)
         row = np.repeat(np.arange(rows), per_row)
         dx, dy = np.divmod(hits - offset[row], width[1][row])
-        indices.append((lo[0][row] + dx) * k + lo[1][row] + dy)
+        # the window is row-major in (min, max), as the sector's indices are
+        a = lo[0][row] + dx
+        indices.append(a * k - a * (a - 1) // 2 + lo[1][row] + dy - a)
         data.append(table[counts[hits] - 1])
         indptr[r0 + 1:r1 + 1] = per_row
     np.cumsum(indptr, out=indptr)
@@ -149,26 +169,36 @@ def build_ulam(spec: MapSpec, k: int, samples_per_cell: int = 81) -> UlamOperato
     return UlamOperator(spec=spec, k=k, matrix=matrix, samples_per_cell=ss)
 
 
+def _start(op: UlamOperator, start: np.ndarray | None) -> np.ndarray:
+    """Probability start vector: ``start`` made nonnegative, or the uniform
+    measure's orbit masses (2/k^2 off the diagonal, 1/k^2 on it)."""
+    if start is None:
+        a, b = np.triu_indices(op.k)
+        v = np.where(a == b, 1.0, 2.0)
+    else:
+        v = np.abs(np.asarray(start, float))
+    return v / v.sum()
+
+
 def invariant_density_ulam(
     op: UlamOperator,
     tol: float = 1e-10,
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
-) -> np.ndarray:
-    """Leading left eigenvector by power iteration, normalized to sum 1.
+) -> tuple[np.ndarray, int]:
+    """Leading left eigenvector by power iteration, normalized to sum 1,
+    and the number of sweeps it took.
 
-    The result is the discrete invariant probability vector (cell masses);
-    divide by the cell volume for a density per unit volume.
+    The result is the discrete invariant probability vector of orbit
+    masses; divide by the orbit's volume (2/k^2 off the diagonal, 1/k^2 on
+    it) for a density per unit volume.
     """
-    cells = op.cells
-    v = np.full(cells, 1.0 / cells) if start is None else np.asarray(start, float)
-    v = np.abs(v)
-    v /= v.sum()
-    for _ in range(max_iter):
+    v = _start(op, start)
+    for sweeps in range(1, max_iter + 1):
         w = op.transposed @ v
         w /= w.sum()  # row-stochastic: guards rounding drift only
         if float(np.abs(w - v).sum()) < tol:
-            return w
+            return w, sweeps
         v = w
     raise ConvergenceError("power iteration for the invariant density stalled")
 
@@ -190,8 +220,9 @@ def perturbed_leading_eigenvalue(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
-) -> float:
-    """Leading eigenvalue of the open operator v -> (v restricted to D) P.
+) -> tuple[float, int]:
+    """Leading eigenvalue of the open operator v -> (v restricted to D) P,
+    and the number of sweeps it took.
 
     The per-sweep mass-loss ratio converges to rho, the survival rate of
     densities avoiding the strip.
@@ -199,18 +230,16 @@ def perturbed_leading_eigenvalue(
     op = pert.base
     mask = np.ones(op.cells)
     mask[pert.hole_cells] = 0.0
-    v = np.full(op.cells, 1.0 / op.cells) if start is None else np.asarray(start, float)
-    v = np.abs(v)
-    v /= v.sum()
+    v = _start(op, start)
     rho = 0.0
-    for _ in range(max_iter):
+    for sweeps in range(1, max_iter + 1):
         w = op.transposed @ (v * mask)
         total = float(w.sum())
         if total == 0.0:
-            return 0.0
+            return 0.0, sweeps
         w /= total
         if abs(total - rho) < tol and float(np.abs(w - v).sum()) < 1e-10:
-            return total
+            return total, sweeps
         rho, v = total, w
     raise ConvergenceError("power iteration for the open operator stalled")
 
@@ -220,35 +249,43 @@ def strip_mass(pert: PerturbedOperator, invariant: np.ndarray) -> float:
     return float(np.sum(invariant[pert.hole_cells]))
 
 
-def ei_spectral(
-    op: UlamOperator,
-    nus,
-    invariant: np.ndarray | None = None,
-) -> EiEstimate:
+def _at_zero(nus: list[float], values: list[float]) -> tuple[float, float]:
+    """values linearly extrapolated to nu = 0 (the one value of a single
+    rung), raw and clamped to [0, 1]."""
+    raw = float(np.polyfit(nus, values, 1)[1]) if len(nus) >= 2 else values[0]
+    return raw, min(max(raw, 0.0), 1.0)
+
+
+def ei_spectral(op: UlamOperator, nus) -> EiEstimate:
     """Extremal index from the eigenvalue deficit, with nu-refinement.
 
     For each strip accuracy nu the raw estimate is (1 - rho)/mu(strip); the
     reported theta extrapolates the ladder linearly to nu = 0 (clamped to
-    [0, 1], raw ladder kept in the metadata).
+    [0, 1], raw ladder kept in the metadata).  Next to it, ``theta_kl`` is
+    the same extrapolation of Keller and Liverani's leading term 1 - q0,
+    where q0 = mu(U and P^-1 U)/mu(U) is the share of the strip U's mass
+    that one step keeps in U.  The metadata also records each power
+    iteration's sweeps.
     """
     nus = sorted({float(nu) for nu in np.atleast_1d(nus)}, reverse=True)
-    if invariant is None:
-        invariant = invariant_density_ulam(op)
+    invariant, sweeps = invariant_density_ulam(op)
     ladder = []
     for nu in nus:
         pert = make_perturbed(op, nu)
         mass = strip_mass(pert, invariant)
         if mass <= 0.0:
             raise DomainError(f"strip mass vanishes at nu={nu}")
-        rho = perturbed_leading_eigenvalue(pert, start=invariant)
-        ladder.append((nu, rho, mass, (1.0 - rho) / mass))
-    if len(ladder) >= 2:
-        xs = np.array([row[0] for row in ladder])
-        ys = np.array([row[3] for row in ladder])
-        theta_raw = float(np.polyfit(xs, ys, 1)[1])
-    else:
-        theta_raw = ladder[0][3]
-    theta = min(max(theta_raw, 0.0), 1.0)
+        rho, iterations = perturbed_leading_eigenvalue(pert, start=invariant)
+        inside = np.zeros(op.cells)
+        inside[pert.hole_cells] = 1.0
+        stay = (op.matrix @ inside)[pert.hole_cells]
+        # np.sum, not a BLAS dot, whose last bit depends on the thread count
+        q0 = float(np.sum(invariant[pert.hole_cells] * stay)) / mass
+        ladder.append({"nu": nu, "rho": rho, "mu_strip": mass,
+                       "theta_hat": (1.0 - rho) / mass, "q0": q0,
+                       "theta_kl_hat": 1.0 - q0, "iterations": iterations})
+    theta_raw, theta = _at_zero(nus, [row["theta_hat"] for row in ladder])
+    _, theta_kl = _at_zero(nus, [row["theta_kl_hat"] for row in ladder])
     return EiEstimate(
         theta,
         "spectral_ulam",
@@ -256,10 +293,9 @@ def ei_spectral(
             "k": op.k,
             "gamma": op.spec.gamma,
             "theta_raw": theta_raw,
-            "ladder": [
-                {"nu": nu, "rho": rho, "mu_strip": mass, "theta_hat": th}
-                for nu, rho, mass, th in ladder
-            ],
+            "theta_kl": theta_kl,
+            "invariant_iterations": sweeps,
+            "ladder": ladder,
         },
     )
 

@@ -25,31 +25,51 @@ from cmlsync.ulam import (
 
 # ---------------------------------------------------------------------------
 # Bit-identity oracle: the sampled build written plainly.  Every subgrid point
-# goes through lattice.step, each chunk of cells becomes a scipy COO -> CSR
-# block (which sums the duplicate samples), and the blocks are summed.
+# goes through lattice.step, each chunk of rows becomes a scipy COO -> CSR
+# block (which sums the duplicate samples), and the blocks are summed.  The
+# full reference has a row per cell (a, b); the folded one, which build_ulam
+# must match, a row per cell a <= b, each target (tx, ty) sorted first.
 # ---------------------------------------------------------------------------
 
-def reference_build(spec, k, samples_per_cell, chunk_cells=97):
+def sector_index(a, b, k):
+    return a * k - a * (a - 1) // 2 + (b - a)
+
+
+def _coo_build(spec, k, samples_per_cell, row_x, row_y, column, size,
+               chunk_cells=97):
     s = int(round(np.sqrt(samples_per_cell)))
-    cells = k * k
     base = (np.arange(s) + 0.5) / s
     ox, oy = np.meshgrid(base, base, indexing="ij")
     offsets = np.column_stack([ox.ravel(), oy.ravel()])
     matrix = None
-    for start in range(0, cells, chunk_cells):
-        flat = np.arange(start, min(start + chunk_cells, cells))
-        corners = np.column_stack([flat // k, flat % k]) / k
+    for start in range(0, size, chunk_cells):
+        flat = np.arange(start, min(start + chunk_cells, size))
+        corners = np.column_stack([row_x[flat], row_y[flat]]) / k
         pts = (corners[:, None, :] + offsets[None, :, :] / k).reshape(-1, 2)
         img = step(pts, spec)
         tx = np.minimum((img[:, 0] * k).astype(np.int64), k - 1)
         ty = np.minimum((img[:, 1] * k).astype(np.int64), k - 1)
         rows = np.repeat(flat, s * s)
         block = sparse.coo_matrix(
-            (np.full(rows.size, 1.0 / (s * s)), (rows, tx * k + ty)),
-            shape=(cells, cells),
+            (np.full(rows.size, 1.0 / (s * s)), (rows, column(tx, ty))),
+            shape=(size, size),
         ).tocsr()
         matrix = block if matrix is None else matrix + block
     return matrix
+
+
+def full_reference_build(spec, k, samples_per_cell):
+    row_x, row_y = np.divmod(np.arange(k * k), k)
+    return _coo_build(spec, k, samples_per_cell, row_x, row_y,
+                      lambda tx, ty: tx * k + ty, k * k)
+
+
+def reference_build(spec, k, samples_per_cell):
+    row_x, row_y = np.triu_indices(k)
+    return _coo_build(
+        spec, k, samples_per_cell, row_x, row_y,
+        lambda tx, ty: sector_index(np.minimum(tx, ty), np.maximum(tx, ty), k),
+        row_x.size)
 
 
 def same_csr(a, b) -> bool:
@@ -61,6 +81,35 @@ def same_csr(a, b) -> bool:
 # Not full-branch: uneven branches, one of them decreasing, so cells straddle
 # wraps where no k lines up with them.
 SKEW = LocalMap((0.0, 0.35, 1.0), (3.0, -2.5), (0.2, 0.9), 0.4)
+LOCAL_MAPS = st.one_of(st.integers(2, 5).map(LocalMap.affine_mod1),
+                       st.just(SKEW))
+BINS = st.integers(1, 40)
+GAMMAS = st.one_of(st.just(0.0), st.floats(0.0, 0.95, exclude_max=True))
+SAMPLES = st.sampled_from([1, 4, 9, 81])
+
+
+def full_grid_ladder(matrix, k, nus, tol=1e-13):
+    """(rho, mu(strip)) per nu from power iterations on the full k^2 grid,
+    with the hole |cx - cy| <= nu by cell center."""
+    def power(mask, v):
+        for _ in range(100_000):
+            w = (v * mask) @ matrix
+            total = w.sum()
+            w /= total
+            if np.abs(w - v).sum() < tol:
+                return total, w
+            v = w
+        raise AssertionError("full-grid power iteration stalled")
+
+    c = (np.arange(k) + 0.5) / k
+    gap = np.abs(np.repeat(c, k) - np.tile(c, k))
+    _, pi = power(np.ones(k * k), np.full(k * k, 1.0 / (k * k)))
+    out = []
+    for nu in nus:
+        hole = gap <= nu
+        rho, _ = power(np.where(hole, 0.0, 1.0), pi)
+        out.append((rho, pi[hole].sum()))
+    return out
 
 
 class _RowVectorProduct:
@@ -93,13 +142,19 @@ class TestBuild:
             assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_uncoupled_rows_exact(self, op_uncoupled):
-        # Each cell of the uncoupled 2d tripling map covers exactly 9 image
-        # cells with weight 1/9 each.
+        # Each cell (a, b) of the uncoupled 2d tripling map covers exactly
+        # the 9 image cells (3a + i, 3b + j) mod 9 with weight 1/9 each; a
+        # row of the sector holds those weights folded onto cells u <= v.
+        k = op_uncoupled.k
         dense = op_uncoupled.matrix.toarray()
-        for row in dense:
-            nz = row[row > 0]
-            assert nz.size == 9
-            assert np.allclose(nz, 1.0 / 9.0, atol=1e-15)
+        for row, (a, b) in zip(dense, zip(*np.triu_indices(k))):
+            expected = np.zeros_like(row)
+            for i in range(3):
+                for j in range(3):
+                    u, v = (3 * a + i) % k, (3 * b + j) % k
+                    expected[sector_index(min(u, v), max(u, v), k)] += 1.0 / 9.0
+            assert np.array_equal(row != 0, expected != 0)
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-15)
 
     def test_deterministic_rebuild(self, tripling):
         spec = MapSpec(tripling, 2, 0.3)
@@ -108,11 +163,7 @@ class TestBuild:
         assert (a.matrix != b.matrix).nnz == 0
 
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(st.integers(2, 5).map(LocalMap.affine_mod1), st.just(SKEW)),
-           st.integers(1, 40),
-           st.one_of(st.just(0.0), st.floats(0.0, 0.95, exclude_max=True)),
-           st.sampled_from([1, 4, 9, 81]),
-           st.integers(1, 1 << 13))
+    @given(LOCAL_MAPS, BINS, GAMMAS, SAMPLES, st.integers(1, 1 << 13))
     @example(LocalMap.affine_mod1(3), 12, 0.3, 81, 1 << 14)
     @example(LocalMap.affine_mod1(3), 13, 0.3, 81, 1)
     @example(LocalMap.affine_mod1(2), 7, 0.0, 9, 50)
@@ -123,6 +174,20 @@ class TestBuild:
         with mock.patch.object(ulam, "_CHUNK_PAIRS", chunk_pairs):
             got = build_ulam(spec, k, samples_per_cell=spc).matrix
         assert same_csr(got, reference_build(spec, k, spc))
+
+    @settings(max_examples=80, deadline=None)
+    @given(LOCAL_MAPS, BINS, GAMMAS, SAMPLES)
+    @example(SKEW, 31, 0.6, 81)
+    @example(LocalMap.affine_mod1(2), 7, 0.0, 9)
+    def test_full_reference_commutes_with_swap(self, local_map, k, gamma, spc):
+        # The fold is exact: the full matrix is P(sigma i, sigma j) = P(i, j),
+        # bit for bit, for the swap sigma of (a, b) and (b, a).
+        full = full_reference_build(MapSpec(local_map, 2, gamma), k, spc)
+        a, b = np.divmod(np.arange(k * k), k)
+        swap = b * k + a
+        swapped = full[swap][:, swap].tocsr()
+        swapped.sort_indices()
+        assert same_csr(swapped, full)
 
     @pytest.mark.parametrize("k", [60, 61])
     def test_matches_reference_in_default_chunks(self, tripling, k):
@@ -140,12 +205,15 @@ class TestBuild:
 
 class TestSpectra:
     def test_uncoupled_invariant_flat(self, op_uncoupled):
-        pi = invariant_density_ulam(op_uncoupled)
+        # Lebesgue measure in orbit masses: 2/k^2 off the diagonal, 1/k^2 on it
+        pi, _ = invariant_density_ulam(op_uncoupled)
+        k = op_uncoupled.k
+        a, b = np.triu_indices(k)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(pi, 1.0 / op_uncoupled.cells, atol=1e-12)
+        assert np.allclose(pi, np.where(a == b, 1.0, 2.0) / k**2, atol=1e-12)
 
     def test_coupled_invariant_probability(self, op_coupled):
-        pi = invariant_density_ulam(op_coupled)
+        pi, _ = invariant_density_ulam(op_coupled)
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(pi >= 0.0)
 
@@ -160,13 +228,28 @@ class TestSpectra:
         op = request.getfixturevalue(name)
         old = dataclasses.replace(op)
         old.transposed = _RowVectorProduct(op.matrix)
-        pi, pi_old = invariant_density_ulam(op), invariant_density_ulam(old)
-        assert pi.tobytes() == pi_old.tobytes()
+        (pi, sweeps), (pi_old, sweeps_old) = (invariant_density_ulam(op),
+                                              invariant_density_ulam(old))
+        assert pi.tobytes() == pi_old.tobytes() and sweeps == sweeps_old
         for nu in (0.05, 0.02):
+            # (rho, sweeps) of each
             rho = perturbed_leading_eigenvalue(make_perturbed(op, nu), start=pi)
             rho_old = perturbed_leading_eigenvalue(make_perturbed(old, nu),
                                                    start=pi_old)
             assert rho == rho_old
+
+
+    @pytest.mark.parametrize("k", [9, 30, 31])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6])
+    def test_sector_matches_full_grid(self, tripling, gamma, k):
+        # The swap sector keeps the full operator's rho and strip mass.
+        spec = MapSpec(tripling, 2, gamma)
+        nus = [0.25, 0.12, 0.05]
+        ladder = ei_spectral(build_ulam(spec, k), nus).metadata["ladder"]
+        full = full_grid_ladder(full_reference_build(spec, k, 81), k, nus)
+        for rung, (rho, mu) in zip(ladder, full):
+            assert abs(rung["rho"] - rho) <= 1e-9
+            assert abs(rung["mu_strip"] - mu) <= 1e-9
 
 
 class TestPerturbed:
@@ -184,9 +267,9 @@ class TestPerturbed:
             make_perturbed(op_coupled, 0.999)  # hole covers the domain
 
     def test_leading_eigenvalue_below_one(self, op_coupled):
-        pi = invariant_density_ulam(op_coupled)
+        pi, _ = invariant_density_ulam(op_coupled)
         pert = make_perturbed(op_coupled, 0.05)
-        rho = perturbed_leading_eigenvalue(pert, start=pi)
+        rho, _ = perturbed_leading_eigenvalue(pert, start=pi)
         assert 0.0 < rho < 1.0
         # Mass deficit should be on the order of the strip measure.
         mu = strip_mass(pert, pi)
@@ -208,11 +291,24 @@ class TestEiSpectral:
             assert 0.0 < row["rho"] < 1.0
             assert 0.0 < row["theta_hat"] <= 1.2
 
+    def test_benchmark_ladder(self, tripling):
+        # k = 300, gamma = 0.3 and the ladder of the spectral-density
+        # benchmark: theta_kl as measured for ROADMAP item 3, and every power
+        # iteration converges far below its max_iter cap.
+        op = build_ulam(MapSpec(tripling, 2, 0.3), k=300)
+        est = ei_spectral(op, [0.04, 0.02, 0.01])
+        assert est.metadata["theta_kl"] == pytest.approx(0.5367, abs=5e-5)
+        assert est.metadata["invariant_iterations"] < 100
+        for row in est.metadata["ladder"]:
+            assert row["iterations"] < 100
+            assert row["theta_kl_hat"] == 1.0 - row["q0"]
+
     def test_single_nu_no_extrapolation(self, op_coupled):
         est = ei_spectral(op_coupled, [0.03])
         ladder = est.metadata["ladder"]
         assert len(ladder) == 1
         assert est.metadata["theta_raw"] == pytest.approx(ladder[0]["theta_hat"])
+        assert est.metadata["theta_kl"] == ladder[0]["theta_kl_hat"]
 
 
 class TestExports:
@@ -224,4 +320,9 @@ class TestExports:
             data = json.load(fh)
         assert data["method"] == "spectral_ulam"
         assert data["theta"] == pytest.approx(est.theta)
+        assert data["theta_kl"] == est.metadata["theta_kl"]
+        assert data["invariant_iterations"] >= 1
         assert len(data["ladder"]) == 2
+        for row in data["ladder"]:
+            assert set(row) == {"nu", "rho", "mu_strip", "theta_hat", "q0",
+                                "theta_kl_hat", "iterations"}
