@@ -1,9 +1,10 @@
 """Synchronization statistics of coupled chaotic map lattices.
 
 Core objects: lattice dynamics (`lattice`), synchronization observables
-(`observables`), extreme-value estimators (`evt`), closed-form predictions
-(`theory`), invariant-density estimation (`density`), transfer-operator
-spectra (`ulam`), and experiment orchestration (`experiments`, `cli`).
+(`observables`), extreme-value estimators (`evt`, with the row-wise Brent
+solvers of `brent`), closed-form predictions (`theory`), invariant-density
+estimation (`density`), transfer-operator spectra (`ulam`), and experiment
+orchestration (`experiments`, `cli`).
 """
 from .density import DensityHistogram, DiagonalTrace, diagonal_trace, estimate_density
 from .errors import CmlSyncError, ConfigError, DomainError, FitError

@@ -191,10 +191,12 @@ def _n_group(config: ExperimentConfig, n: int, *tag: int,
 
 
 def _sweep(config: ExperimentConfig, worker, *tag: int, **group) -> list:
-    """``worker(n, observed)`` for every n of the grid, in order, where
-    ``observed`` lists per grid point of size n, keyed by ``tag``, the
-    point, its rows' (R, length) series of the config's observable and
-    their ``collapsed`` flags.
+    """The concatenated lists ``worker(series, observed)`` returns for the
+    lock-step passes of the grid, in order, where ``series`` holds a pass's
+    rows' (R, length) series of the config's observable, and ``observed``
+    lists per grid point of the pass, keyed by ``tag``, the point and its
+    rows' ``collapsed`` flags; each point's rows follow the previous
+    point's.
 
     The n-groups run in the consecutive lock-step passes of
     `split_passes`: one pass when their series fit the memory budget
@@ -204,27 +206,18 @@ def _sweep(config: ExperimentConfig, worker, *tag: int, **group) -> list:
     groups = [_n_group(config, n, *tag, **group) for n in config.n_values]
     out = []
     for run in split_passes(groups, config.length):
-        out += _pass(config, worker, run)
+        out += _pass(config, worker, [p for points in run for p in points])
     return out
 
 
-def _pass(config: ExperimentConfig, worker, groups: list[list[GridPoint]]
-          ) -> list:
-    """`_sweep` over the n-groups of one lock-step pass."""
+def _pass(config: ExperimentConfig, worker, points: list[GridPoint]) -> list:
+    """`_sweep`'s worker over the one lock-step pass of ``points``."""
     series, finals = lockstep_gaps(
-        config.local_map, [p for points in groups for p in points],
-        config.length, config.burn_in,
+        config.local_map, points, config.length, config.burn_in,
         observables.OBSERVABLES[config.observable].value)
-    finals, start, out = iter(finals), 0, []
-    for points in groups:
-        observed = []
-        for p in points:
-            rows = series[start:start + p.realizations]
-            start += p.realizations
-            observed.append((p, rows, _collapsed(
-                next(finals), MapSpec(config.local_map, p.n, p.gamma))))
-        out.append(worker(points[0].n, observed))
-    return out
+    return worker(series, [
+        (p, _collapsed(final, MapSpec(config.local_map, p.n, p.gamma)))
+        for p, final in zip(points, finals)])
 
 
 def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
@@ -237,61 +230,113 @@ def _collapsed(final: np.ndarray, spec: MapSpec) -> np.ndarray:
     return np.all(step(final, spec) == final, axis=-1)
 
 
-def _ei_group(config: ExperimentConfig, n: int, observed: list) -> list[dict]:
-    rows = []
-    for point, values, collapsed in observed:
+# Thresholds and indicators run over blocks of rows holding about this many
+# series values, and the GPD fits over batches of rows holding about
+# _FIT_ELEMENTS excesses, so that the copies they make stay small next to
+# the series.
+_ROW_BLOCK_ELEMENTS = 1 << 16
+_FIT_ELEMENTS = 1 << 14
+
+
+def _row_blocks(rows: int, length: int):
+    """Consecutive row slices of about `_ROW_BLOCK_ELEMENTS` values each."""
+    per = max(1, _ROW_BLOCK_ELEMENTS // length)
+    for start in range(0, rows, per):
+        yield slice(start, min(rows, start + per))
+
+
+def _ei_estimates(series: np.ndarray, skip: np.ndarray, q: float) -> tuple:
+    """theta_suveges, theta_qk and xi_gpd (NaN where missing) and the flags
+    of every row of ``series`` (R, length), the rows ``skip`` marks left
+    out: for each row, what the one-row estimators give on it alone.
+
+    Thresholds, indicators, Sueveges and q_k run block by block of rows,
+    and the GPD fits once per `_FIT_ELEMENTS` excesses gathered.
+    """
+    rows = len(series)
+    suveges, qk, xi = (np.full(rows, np.nan) for _ in range(3))
+    flags = [[] for _ in range(rows)]
+    pending = []  # per block: its fitted rows, excesses, counts, thresholds
+
+    def fit():
+        index, excesses, counts, thresholds = (
+            np.concatenate(part) for part in zip(*pending))
+        pending.clear()
+        for r, fit, error in zip(index, *evt.fit_gpd_rows(
+                excesses, counts, thresholds)):
+            if error is None:
+                xi[r] = fit.xi
+            else:
+                flags[r].append(f"gpd:{type(error).__name__}")
+
+    for block in _row_blocks(rows, series.shape[1]):
+        index = np.arange(rows)[block][~skip[block]]
+        values = series[block] if index.size == block.stop - block.start \
+            else series[index]
+        u, errors = observables.thresholds_from_quantile(values, q)
+        for r, error in zip(index, errors):
+            if error is not None:
+                flags[r].append(f"suveges:{type(error).__name__}")
+        ok = np.array([e is None for e in errors], dtype=bool)
+        if not ok.all():
+            index, values, u = index[ok], values[ok], u[ok]
+        ind = observables.exceedance_indicator(values, u[:, None])
+        suveges[index], n_exc, _ = evt.suveges_rows(ind, q)
+        _, _, qk[index], _, errors = evt.qk_rows(ind)
+        for r, error in zip(index, errors):
+            if error is not None:
+                flags[r].append(f"qk:{type(error).__name__}")
+                qk[r] = np.nan
+        pending.append((index, values[ind], n_exc, u))
+        if sum(len(part[1]) for part in pending) >= _FIT_ELEMENTS:
+            fit()
+    if pending:
+        fit()
+    return suveges, qk, xi, [";".join(f) for f in flags]
+
+
+def _value(x: float) -> float | None:
+    """A sweep column's value: None where the estimate is missing."""
+    return None if math.isnan(x) else x
+
+
+def _ei_rows(config: ExperimentConfig, series: np.ndarray, observed: list
+             ) -> list[dict]:
+    """The ei-sweep rows of one lock-step pass."""
+    collapsed = np.concatenate([dead for _, dead in observed])
+    suveges, qk, xi, flags = _ei_estimates(series, collapsed, config.quantile)
+    suveges, qk, xi = suveges.tolist(), qk.tolist(), xi.tolist()
+    rows, i = [], 0
+    for point, dead in observed:
         try:
             theta_theory, theta_asym = observables.OBSERVABLES[
-                config.observable].closed_form_ei(n, point.gamma,
+                config.observable].closed_form_ei(point.n, point.gamma,
                                                   config.local_map)
         except CmlSyncError:
             theta_theory = theta_asym = None
-        for r, (series, dead) in enumerate(zip(values, collapsed)):
-            rows.append(_ei_row(config, series, dead, {
-                "n": n, "gamma": point.gamma, "epsilon": point.epsilon,
-                "realization": r, "theta_suveges": None, "theta_qk": None,
+        for r, collapsed_row in enumerate(dead):
+            rows.append({
+                "n": point.n, "gamma": point.gamma, "epsilon": point.epsilon,
+                "realization": r, "theta_suveges": _value(suveges[i]),
+                "theta_qk": _value(qk[i]),
                 "theta_theory": theta_theory, "theta_asymptotic": theta_asym,
-                "xi_gpd": None, "flag": "",
-            }))
+                "xi_gpd": _value(xi[i]),
+                "flag": "collapsed" if collapsed_row else flags[i],
+            })
+            i += 1
     return rows
-
-
-def _ei_row(config: ExperimentConfig, series: np.ndarray, collapsed: bool,
-            row: dict) -> dict:
-    """``row`` with the estimates of one realization's series."""
-    if collapsed:
-        row["flag"] = "collapsed"
-        return row
-    flags = []
-    try:
-        u = observables.threshold_from_quantile(series, config.quantile)
-        ind = observables.exceedance_indicator(series, u)
-        row["theta_suveges"] = evt.suveges_ei(ind, config.quantile).theta
-    except CmlSyncError as exc:
-        flags.append(f"suveges:{type(exc).__name__}")
-        series = None
-    if series is not None:
-        try:
-            row["theta_qk"] = evt.qk_return_estimator(ind)[1].theta
-        except CmlSyncError as exc:
-            flags.append(f"qk:{type(exc).__name__}")
-        try:
-            row["xi_gpd"] = evt.fit_gpd_mle(series[series > u], threshold=u).xi
-        except CmlSyncError as exc:
-            flags.append(f"gpd:{type(exc).__name__}")
-    row["flag"] = ";".join(flags)
-    return row
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
     """Mean and sd rows per grid point, skipping flagged-missing entries."""
-    keys = sorted({(r["n"], r["gamma"], r["epsilon"]) for r in rows})
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        groups.setdefault((r["n"], r["gamma"], r["epsilon"]), []).append(r)
     stat_cols = ["theta_suveges", "theta_qk", "theta_theory",
                  "theta_asymptotic", "xi_gpd"]
     out = []
-    for n, gamma, eps in keys:
-        group = [r for r in rows
-                 if (r["n"], r["gamma"], r["epsilon"]) == (n, gamma, eps)]
+    for n, gamma, eps in sorted(groups):
+        group = groups[(n, gamma, eps)]
         for label, fn in (("mean", np.mean), ("sd", lambda v: np.std(v, ddof=1))):
             agg = {"n": n, "gamma": gamma, "epsilon": eps,
                    "realization": label, "flag": ""}
@@ -308,8 +353,7 @@ def run_ei_sweep(config: ExperimentConfig) -> SweepResult:
     One row per grid point per realization, plus mean/sd aggregate rows;
     estimator failures flag the row instead of aborting the sweep.
     """
-    rows = [row for group in _sweep(config, partial(_ei_group, config))
-            for row in group]
+    rows = _sweep(config, partial(_ei_rows, config))
     return SweepResult(config=config, rows=rows, aggregates=_aggregate(rows))
 
 
@@ -358,29 +402,33 @@ def run_gev_sweep(config: ExperimentConfig, block_size: int = 100) -> SweepResul
     if config.length // block_size < 30:
         raise ConfigError("length must give at least 30 blocks")
 
-    def group(n, observed):
+    def rows_of(series, observed):
         usable = config.length - config.length % block_size
-        rows = []
-        for point, values, collapsed in observed:
-            for r, (series, dead) in enumerate(zip(values, collapsed)):
-                maxima = series[:usable].reshape(-1, block_size).max(axis=1)
-                dropped = int(np.sum(~np.isfinite(maxima)))
-                row = {"n": n, "gamma": point.gamma, "epsilon": point.epsilon,
-                       "realization": r, "xi": None, "mu": None,
-                       "sigma": None, "dropped_blocks": dropped, "flag": ""}
-                if dead:
-                    row["flag"] = "collapsed"
-                else:
-                    try:
-                        fit = evt.fit_gev_mle(maxima[np.isfinite(maxima)])
-                        row.update(xi=fit.xi, mu=fit.mu, sigma=fit.sigma)
-                    except CmlSyncError as exc:
-                        row["flag"] = f"gev:{type(exc).__name__}"
-                rows.append(row)
+        maxima = np.concatenate([
+            series[block, :usable].reshape(block.stop - block.start, -1,
+                                           block_size).max(axis=2)
+            for block in _row_blocks(len(series), usable)])
+        dropped = np.count_nonzero(~np.isfinite(maxima), axis=1).tolist()
+        live = np.flatnonzero(~np.concatenate([d for _, d in observed]))
+        fits, flags = [None] * len(maxima), ["collapsed"] * len(maxima)
+        for r, fit, error in zip(live, *evt.fit_gev_rows(maxima[live])):
+            fits[r] = fit
+            flags[r] = "" if error is None else f"gev:{type(error).__name__}"
+        rows, i = [], 0
+        for point, collapsed in observed:
+            for r in range(len(collapsed)):
+                fit = fits[i]
+                rows.append({
+                    "n": point.n, "gamma": point.gamma,
+                    "epsilon": point.epsilon, "realization": r,
+                    "xi": None if fit is None else fit.xi,
+                    "mu": None if fit is None else fit.mu,
+                    "sigma": None if fit is None else fit.sigma,
+                    "dropped_blocks": dropped[i], "flag": flags[i]})
+                i += 1
         return rows
 
-    rows = [row for rows in _sweep(config, group, 1) for row in rows]
-    return SweepResult(config=config, rows=rows)
+    return SweepResult(config=config, rows=_sweep(config, rows_of, 1))
 
 
 def export_gev_csv(result: SweepResult, path) -> None:
@@ -405,9 +453,10 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
     """
     make_output_dir(out_dir)
 
-    def group(n, observed):
+    def group(values, observed):
         summaries = []
-        for point, (series,), _ in observed:
+        for series, (point, _) in zip(values, observed):
+            n = point.n
             gamma, eps = point.gamma, point.epsilon
             u = observables.threshold_from_quantile(series, config.quantile)
             ind = observables.exceedance_indicator(series, u)
@@ -433,8 +482,7 @@ def run_waiting_time_report(config: ExperimentConfig, out_dir: str) -> list[dict
             })
         return summaries
 
-    return [s for summaries in _sweep(config, group, 2, realizations=1)
-            for s in summaries]
+    return _sweep(config, group, 2, realizations=1)
 
 
 # ---------------------------------------------------------------------------

@@ -469,12 +469,24 @@ def lockstep_gaps(
     size = x.size
     draw = None
     if noisy:
+        widest_noisy = max(s.stop - s.start for s, _, _ in noisy)
+        scratch = np.empty(0)
+
         def draw(steps):
+            # Each point's uniforms fill a contiguous buffer (Generator.random
+            # takes no strided out) in the order rng.uniform(-0.5, 0.5, size)
+            # draws them; r - 0.5 is exact, so the kicks are those of
+            # uniform(-0.5, 0.5) * eps, bit for bit.
+            nonlocal scratch
+            if scratch.size < steps * widest_noisy:
+                scratch = np.empty(steps * widest_noisy)
             kicks = np.zeros((steps, size))  # 0.0 leaves a site as it is
             for sites, rng, eps in noisy:
-                k = kicks[:, sites]
-                k[...] = rng.uniform(-0.5, 0.5, size=k.shape)
-                np.multiply(k, eps, out=k)
+                buf = scratch[:steps * (sites.stop - sites.start)].reshape(
+                    steps, -1)
+                rng.random(out=buf)
+                np.subtract(buf, 0.5, out=buf)
+                np.multiply(buf, eps, out=kicks[:, sites])
             return kicks
     update = _lattice_update(local_map, weights[:, 0], weights[:, 1], blocks)
     widest = max(r * n for r, n in blocks)

@@ -127,23 +127,53 @@ def running_maximum(series) -> np.ndarray:
     return np.maximum.accumulate(series, axis=0)
 
 
+def thresholds_from_quantile(block, q: float) -> tuple[np.ndarray, list]:
+    """`threshold_from_quantile` of every row of ``block`` (R, length) at once.
+
+    Returns (thresholds, errors): row r's threshold and None, or NaN and the
+    `DegenerateSeriesError` of a row with no finite value.  Rows without
+    +inf take one ``np.quantile`` along the rows, which gives each row the
+    bits of its own call; the others take the quantile of their finite
+    values one by one.
+    """
+    if not 0.0 < q <= 1.0:
+        raise DomainError("quantile must lie in (0, 1]")
+    block = np.asarray(block, dtype=float)
+    finite = np.isfinite(block)
+    whole = np.all(finite, axis=1) & (block.shape[1] > 0)
+    out = np.full(len(block), np.nan)
+    errors = [None] * len(block)
+    if whole.all():
+        out[:] = np.quantile(block, q, axis=1, method="linear")
+    elif whole.any():
+        out[whole] = np.quantile(block[whole], q, axis=1, method="linear")
+    for r in np.flatnonzero(~whole):
+        values = block[r][finite[r]]
+        if values.size:
+            out[r] = np.quantile(values, q, method="linear")
+        else:
+            errors[r] = DegenerateSeriesError(
+                "all values infinite; no finite quantile")
+    return out, errors
+
+
 def threshold_from_quantile(series, q: float) -> float:
     """Empirical q-quantile of the finite values (linear interpolation).
 
     +inf entries are excluded here but always count as exceedances when the
-    threshold is applied downstream.
+    threshold is applied downstream.  The one-row case of
+    `thresholds_from_quantile`.
     """
-    if not 0.0 < q <= 1.0:
-        raise DomainError("quantile must lie in (0, 1]")
-    series = np.asarray(series, dtype=float)
-    finite = series[np.isfinite(series)]
-    if finite.size == 0:
-        raise DegenerateSeriesError("all values infinite; no finite quantile")
-    return float(np.quantile(finite, q, method="linear"))
+    (u,), (error,) = thresholds_from_quantile(
+        np.reshape(np.asarray(series, dtype=float), (1, -1)), q)
+    if error is not None:
+        raise error
+    return float(u)
 
 
-def exceedance_indicator(series, threshold: float) -> np.ndarray:
-    """Boolean series of exceedances; +inf exceeds any finite threshold."""
+def exceedance_indicator(series, threshold) -> np.ndarray:
+    """Boolean series of exceedances; +inf exceeds any finite threshold.
+    A block (R, length) takes its rows' thresholds as ``u[:, None]``."""
     return np.asarray(series, dtype=float) > threshold
 
 

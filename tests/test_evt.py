@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +10,13 @@ from scipy import optimize, special, stats
 
 from cmlsync import evt
 from cmlsync.errors import (
+    CmlSyncError,
     DomainError,
     FitError,
     InsufficientVisitsError,
 )
+from cmlsync.brent import brentq_rows, fminbound_rows
 from cmlsync.evt import (
-    _brentq,
-    _fminbound,
     _gev_nll,
     _gev_pwm_init,
     _gpd_nll,
@@ -22,11 +24,15 @@ from cmlsync.evt import (
     compound_poisson_pmf_array,
     extract_clusters,
     fit_gev_mle,
+    fit_gev_rows,
     fit_gpd_mle,
+    fit_gpd_rows,
     poisson_pmf,
     qk_return_estimator,
+    qk_rows,
     strip_indicator,
     suveges_ei,
+    suveges_rows,
     waiting_time_epdf,
 )
 
@@ -84,7 +90,7 @@ class TestGevFit:
         b2 = np.sum((j - 1) * (j - 2) / ((n - 1) * (n - 2)) * y) / n
         r = math.log(2) / math.log(3)
         y[-1] += n * (r * (3 * b2 - b0) - (2 * b1 - b0)) / (1 - 2 * r)
-        x0 = _gev_pwm_init(y)
+        x0 = _gev_pwm_init(y[None])[0]
         assert x0[0] == 0.0
         fit = fit_gev_mle(y)
         assert math.isfinite(fit.log_likelihood)
@@ -138,79 +144,251 @@ class TestGpdFit:
             fit_gpd_mle(z)
 
 
+def scalar_rows(funcs):
+    """The row function whose row r is the scalar function funcs[r]."""
+    def f(x, rows):
+        return np.array([funcs[r](float(v)) for r, v in zip(rows, x)])
+    return f
+
+
+def row_of(f, r):
+    """Row r of the row function ``f``, as the scalar function scipy takes."""
+    return lambda x: float(f(np.array([x]), np.array([r]))[0])
+
+
+def bounded_scipy(func, a, b, maxiter=500):
+    res = optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
+                                   options={"xatol": 1e-10, "maxiter": maxiter})
+    return float(res.x), float(res.fun), res.success
+
+
 class TestBrentPorts:
-    """`_brentq` and `_fminbound` are ports of scipy's brentq and bounded
-    minimize_scalar, which stay the reference here."""
+    """`brentq_rows` and `fminbound_rows` are per-row ports of scipy's
+    brentq and bounded minimize_scalar, which stay the reference here: each
+    row of a batch gives what scipy gives on that row's function alone."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(-0.45, 0.6), st.integers(30, 400),
-           st.integers(0, 2**32 - 1))
-    def test_match_scipy_on_gpd_fits(self, xi, size, seed):
-        # record what fit_gpd_mle hands each solver, then hand it to scipy
-        u = np.random.default_rng(seed).uniform(size=size)
-        z = -np.log1p(-u)  # the xi = 0 law, exponential
-        if abs(xi) > 1e-6:
-            z = np.expm1(xi * z) / xi
-        calls = {}
+    @given(st.lists(st.tuples(st.floats(-0.45, 0.6), st.integers(30, 400),
+                              st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=4))
+    def test_match_scipy_on_gpd_fits(self, samples):
+        # record what fit_gpd_rows hands each solver, then hand each row's
+        # function to scipy
+        values = []
+        for xi, size, seed in samples:
+            u = np.random.default_rng(seed).uniform(size=size)
+            z = -np.log1p(-u)  # the xi = 0 law, exponential
+            values.append(np.expm1(xi * z) / xi if abs(xi) > 1e-6 else z)
+        calls = {"brentq_rows": [], "fminbound_rows": []}
 
         def spy(solver):
             def run(*args, **kwargs):
-                calls[solver.__name__] = args, kwargs, solver(*args, **kwargs)
-                return calls[solver.__name__][2]
+                out = solver(*args, **kwargs)
+                # a copy: the fit goes on to add its own errors to the list
+                calls[solver.__name__].append((args, kwargs, copy.deepcopy(out)))
+                return out
             return run
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evt, "_brentq", spy(_brentq))
-            mp.setattr(evt, "_fminbound", spy(_fminbound))
-            try:
-                fit_gpd_mle(z)
-            except FitError:
-                pass
-        (f, a, b), kwargs, root = calls["_brentq"]
-        assert root == optimize.brentq(f, a, b, **kwargs)
-        (f, lo, hi), kwargs, found = calls["_fminbound"]
-        res = optimize.minimize_scalar(
-            f, bounds=(lo, hi), method="bounded",
-            options={"xatol": kwargs["xatol"], "maxiter": 500})
-        assert found == (float(res.x), float(res.fun), res.success)
+            mp.setattr(evt, "brentq_rows", spy(brentq_rows))
+            mp.setattr(evt, "fminbound_rows", spy(fminbound_rows))
+            evt.fit_gpd_rows(np.concatenate(values), [v.size for v in values],
+                             np.zeros(len(values)))
+        assert sum(len(a[1]) for a, _, _ in calls["brentq_rows"]) == len(values)
+        for (f, xa, xb), kwargs, (roots, errors) in calls["brentq_rows"]:
+            for r in range(len(xa)):
+                try:
+                    expect = optimize.brentq(row_of(f, r), xa[r], xb[r], **kwargs)
+                except (ValueError, RuntimeError):
+                    assert isinstance(errors[r], FitError)
+                    assert math.isnan(roots[r])
+                else:
+                    assert errors[r] is None
+                    assert roots[r] == expect
+        for (f, lo, hi), kwargs, found in calls["fminbound_rows"]:
+            assert kwargs == {"xatol": 1e-10}
+            for r in range(len(lo)):
+                assert tuple(a[r] for a in found) == bounded_scipy(
+                    row_of(f, r), lo[r], hi[r])
 
     def test_brentq_same_sign_bracket_raises(self):
-        with pytest.raises(FitError, match="same sign"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+        funcs = [lambda x: x * x + 1.0, lambda x: x - 0.25]
+        roots, errors = brentq_rows(scalar_rows(funcs), [-1.0, 0.0],
+                                     [1.0, 1.0], xtol=1e-12)
+        assert isinstance(errors[0], FitError)
+        assert "same sign" in str(errors[0]) and math.isnan(roots[0])
+        assert errors[1] is None
+        assert roots[1] == optimize.brentq(funcs[1], 0.0, 1.0, xtol=1e-12)
 
     def test_brentq_iteration_cap_raises(self):
         def f(x):
             return math.exp(x) - 2.0
 
+        def g(x):  # its root is an end of the bracket: no step is taken
+            return x
+
         with pytest.raises(RuntimeError):
             optimize.brentq(f, 0.0, 2.0, maxiter=1)
-        with pytest.raises(FitError, match="did not converge in 1 steps"):
-            _brentq(f, 0.0, 2.0, xtol=2e-12, maxiter=1)
-        assert _brentq(f, 0.0, 2.0, xtol=2e-12) == optimize.brentq(f, 0.0, 2.0)
+        roots, errors = brentq_rows(scalar_rows([f, g]), [0.0, 0.0],
+                                     [2.0, 1.0], xtol=2e-12, maxiter=1)
+        assert isinstance(errors[0], FitError)
+        assert "did not converge in 1 steps" in str(errors[0])
+        assert math.isnan(roots[0])
+        assert errors[1] is None
+        assert roots[1] == optimize.brentq(g, 0.0, 1.0, maxiter=1) == 0.0
+        # rows that need different numbers of steps, each as scipy
+        funcs = [f, lambda x: x - 0.3, math.cos]
+        ends = [(0.0, 2.0), (0.0, 1.0), (1.0, 2.0)]
+        roots, errors = brentq_rows(scalar_rows(funcs), *zip(*ends),
+                                     xtol=2e-12)
+        assert errors == [None] * 3
+        for root, func, (a, b) in zip(roots, funcs, ends):
+            assert root == optimize.brentq(func, a, b)
 
     def test_brentq_nan_raises(self):
         def f(x):  # finite at the ends only
             return x - 0.3 if x in (0.0, 1.0) else math.nan
 
-        with pytest.raises(FitError, match="NaN"):
-            _brentq(f, 0.0, 1.0, xtol=1e-12)
-        with pytest.raises(FitError, match="NaN"):
-            _brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+        funcs = [f, lambda x: math.nan, lambda x: x - 0.3]
+        roots, errors = brentq_rows(scalar_rows(funcs), [0.0] * 3, [1.0] * 3,
+                                     xtol=1e-12)
+        for r in (0, 1):
+            assert isinstance(errors[r], FitError) and "NaN" in str(errors[r])
+            assert math.isnan(roots[r])
+        assert errors[2] is None
+        assert roots[2] == optimize.brentq(funcs[2], 0.0, 1.0, xtol=1e-12)
 
     def test_fminbound_cap_and_nan_are_not_ok(self):
         def bowl(x):
             return (x - 0.3) ** 2
 
-        cases = [(bowl, cap) for cap in (1, 2, 3, 5)]
-        for func, maxiter in cases + [(lambda x: math.nan, 500)]:
-            x, fx, ok = _fminbound(func, 0.0, 1.0, 1e-10, maxiter)
-            res = optimize.minimize_scalar(func, bounds=(0.0, 1.0),
-                                           method="bounded",
-                                           options={"xatol": 1e-10,
-                                                    "maxiter": maxiter})
-            assert not ok and not res.success
-            assert x == float(res.x)
-        assert _fminbound(bowl, 0.0, 1.0, 1e-10)[2]
+        def other(x):
+            return (x - 0.7) ** 2 + 1.0
+
+        for cap in (1, 2, 3, 5):
+            x, fx, ok = fminbound_rows(scalar_rows([bowl, other]), [0.0, 0.0],
+                                        [1.0, 1.0], 1e-10, cap)
+            for r, func in enumerate([bowl, other]):
+                expect = bounded_scipy(func, 0.0, 1.0, cap)
+                assert not ok[r] and not expect[2]
+                assert x[r] == expect[0]
+        # a NaN row is not ok; the rows beside it run on and match scipy
+        funcs = [bowl, lambda x: math.nan, other]
+        x, fx, ok = fminbound_rows(scalar_rows(funcs), np.zeros(3),
+                                    np.ones(3), 1e-10)
+        assert not ok[1] and x[1] == bounded_scipy(funcs[1], 0.0, 1.0)[0]
+        for r in (0, 2):
+            assert ok[r]
+            assert (x[r], fx[r], ok[r]) == bounded_scipy(funcs[r], 0.0, 1.0)
+
+
+def outcome(call, *args):
+    """What a one-row call gives: its fit's fields with every float as its
+    bits, or its error's type and message."""
+    try:
+        fit = call(*args)
+    except CmlSyncError as exc:
+        return type(exc), str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(fit))
+
+
+def batch_outcome(fit, error):
+    return (type(error), str(error)) if error is not None else tuple(
+        v.hex() if isinstance(v, float) else v
+        for v in dataclasses.astuple(fit))
+
+
+def excess_row(kind, seed, size):
+    """Excesses of one kind, ``size`` of them before the kind cuts them."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_exponential(size)
+    if kind == "few":  # fewer than 30: FitError
+        z = z[:rng.integers(0, 30)]
+    elif kind == "equal":  # DegenerateSeriesError
+        z = np.full(size, 0.5)
+    elif kind == "ties":  # several excesses equal to the largest
+        z[rng.choice(size, rng.integers(2, 5), replace=False)] = z.max()
+    elif kind == "inf":  # +inf exceedances, which the fit drops
+        z[rng.uniform(size=size) < 0.2] = np.inf
+    elif kind == "below":  # DomainError
+        z[rng.integers(size)] = -0.25
+    elif kind == "heavy":  # xi far below -1: the likelihood peaks at an end
+        z = 1.0 - rng.uniform(size=size) ** 0.4
+    return z
+
+
+class TestRowBatches:
+    """Every row of a mixed batch gets, bit for bit, what the one-row call
+    gives on that row alone: the same estimate, or the same error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["plain", "few", "equal", "ties", "inf", "below",
+                         "heavy"]),
+        st.integers(0, 2**32 - 1), st.sampled_from([30, 31, 64, 120]),
+        st.sampled_from([0.0, 0.5, 3.25])), min_size=1, max_size=8))
+    def test_gpd_rows_match_one_row_fits(self, rows):
+        values = [excess_row(kind, seed, size) + u
+                  for kind, seed, size, u in rows]
+        thresholds = [u for *_, u in rows]
+        fits, errors = fit_gpd_rows(np.concatenate(values),
+                                    [v.size for v in values], thresholds)
+        for v, u, fit, error in zip(values, thresholds, fits, errors):
+            assert (fit is None) != (error is None)
+            assert batch_outcome(fit, error) == outcome(fit_gpd_mle, v, u)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["plain", "inf", "few", "equal"]),
+        st.floats(-0.4, 0.4), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=8))
+    def test_gev_rows_match_one_row_fits(self, rows):
+        maxima = []
+        for kind, c, seed in rows:
+            rng = np.random.default_rng(seed)
+            y = stats.genextreme.rvs(c=c, loc=1.0, scale=0.5, size=40,
+                                     random_state=rng)
+            if kind == "inf":  # dropped: a row of fewer finite maxima
+                y[rng.choice(40, rng.integers(1, 10), replace=False)] = np.inf
+            elif kind == "few":
+                y[rng.choice(40, rng.integers(11, 40), replace=False)] = np.inf
+            elif kind == "equal":
+                y[:] = 2.5
+            maxima.append(y)
+        fits, errors = fit_gev_rows(np.array(maxima))
+        for y, fit, error in zip(maxima, fits, errors):
+            assert (fit is None) != (error is None)
+            assert batch_outcome(fit, error) == outcome(fit_gev_mle, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.3), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=6),
+           st.integers(0, 300), st.sampled_from([0.5, 0.9, 0.98]),
+           st.integers(0, 3), st.integers(1, 150))
+    def test_suveges_and_qk_rows_match_one_row_calls(self, rows, length, q,
+                                                     k_max, min_visits):
+        ind = np.array([np.random.default_rng(seed).uniform(size=length) < p
+                        for p, seed in rows]).reshape(len(rows), length)
+        ind[0, :length // 2] = True  # a long run
+        thetas, n_exc, flags = suveges_rows(ind, q)
+        q_rows, tails, qk_thetas, visits, errors = qk_rows(ind, k_max,
+                                                           min_visits)
+        for r, row in enumerate(ind):
+            est = suveges_ei(row, q)
+            assert (thetas[r].hex(), int(n_exc[r]), flags[r]) == (
+                est.theta.hex(), est.metadata["exceedances"], est.flag)
+            try:
+                q_one, est = qk_return_estimator(row, k_max, min_visits)
+            except InsufficientVisitsError as exc:
+                assert isinstance(errors[r], InsufficientVisitsError)
+                assert str(errors[r]) == str(exc)
+                continue
+            assert errors[r] is None
+            assert q_rows[r].tobytes() == q_one.tobytes()
+            assert (qk_thetas[r].hex(), tails[r].hex(), int(visits[r])) == (
+                est.theta.hex(), est.metadata["truncation_tail"].hex(),
+                est.metadata["visits"])
 
 
 class TestClusters:
@@ -279,6 +457,54 @@ class TestSuveges:
                 t += 1
         est = suveges_ei(ind, 1.0 - ind.mean())
         assert est.theta == pytest.approx(0.5, abs=0.05)
+
+
+def reference_suveges(ind, q):
+    """Sueveges' theta and flag from the inter-exceedance times themselves."""
+    positions = np.flatnonzero(ind)
+    if positions.size <= 1:
+        return 1.0, "no_clusters"
+    gaps_minus_one = np.diff(positions) - 1
+    n_c = int(np.count_nonzero(gaps_minus_one))
+    s = (1.0 - q) * float(np.sum(gaps_minus_one))
+    if n_c == 0:
+        return 0.0, "saturated"
+    a = s + (positions.size - 1) + n_c
+    theta = (a - math.sqrt(a * a - 8.0 * n_c * s)) / (2.0 * s)
+    return min(max(theta, 0.0), 1.0), None
+
+
+def reference_qk(ind, k_max):
+    """q_k from each usable visit's gap to the next visit, or None without
+    a usable visit."""
+    positions = np.flatnonzero(ind)
+    usable = positions[positions + k_max + 1 <= ind.size - 1]
+    if not usable.size:
+        return None
+    q = np.zeros(k_max + 1)
+    for t in usable:
+        later = positions[positions > t]
+        if later.size and later[0] - t <= k_max + 1:
+            q[later[0] - t - 1] += 1.0
+    return q / usable.size, usable.size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 400),
+       st.floats(0.0, 0.6), st.sampled_from([0.5, 0.9, 0.98]),
+       st.integers(0, 6))
+def test_row_forms_match_gap_references(seed, length, p, q, k_max):
+    ind = np.random.default_rng(seed).uniform(size=length) < p
+    est = suveges_ei(ind, q)
+    assert (est.theta, est.flag) == reference_suveges(ind, q)
+    reference = reference_qk(ind, k_max)
+    if reference is None:
+        return
+    expect, visits = reference
+    got, est = qk_return_estimator(ind, k_max, min_visits=1)
+    assert got.tobytes() == expect.tobytes()
+    assert est.metadata["visits"] == visits
+    assert est.theta == min(max(1.0 - float(np.sum(expect)), 0.0), 1.0)
 
 
 class TestQkEstimator:

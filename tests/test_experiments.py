@@ -6,11 +6,18 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlsync import experiments, lattice
 from cmlsync.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from cmlsync.errors import ConfigError, MemoryBudgetError
-from cmlsync.evt import strip_indicator, suveges_ei
+from cmlsync.errors import CmlSyncError, ConfigError, MemoryBudgetError
+from cmlsync.evt import (
+    fit_gpd_mle,
+    qk_return_estimator,
+    strip_indicator,
+    suveges_ei,
+)
 from cmlsync.experiments import (
     ExperimentConfig,
     _gamma_key,
@@ -25,7 +32,12 @@ from cmlsync.experiments import (
     run_gev_sweep,
     run_waiting_time_report,
 )
-from cmlsync.lattice import MapSpec, simulate_ensemble
+from cmlsync.lattice import GridPoint, MapSpec, lockstep_gaps, simulate_ensemble
+from cmlsync.observables import (
+    OBSERVABLES,
+    exceedance_indicator,
+    threshold_from_quantile,
+)
 
 
 def small_config(**kw):
@@ -292,6 +304,109 @@ class TestCompoundPoisson:
         reports = run_compound_poisson_check(cfg, accuracy, t, size)
         assert [(r["strip_visits"], r["mu_strip"], r["theta_hat"],
                  r["horizon"], r["empirical_pmf"]) for r in reports] == expect
+
+
+ROW_LENGTH = 1200
+# pair-sync rows at n = 5: at quantile 0.98 about 24 visits, under q_k's 100
+PAIR_ROWS = lockstep_gaps(experiments.ExperimentConfig().local_map,
+                          [GridPoint(5, 0.3, 0.0, 17, 4)], ROW_LENGTH, 100,
+                          OBSERVABLES["pair_sync"].value)[0]
+
+
+def series_row(kind, seed):
+    """One sweep row of a kind the estimators treat differently."""
+    rng = np.random.default_rng(seed)
+    row = rng.standard_exponential(ROW_LENGTH)
+    if kind == "inf":  # +inf values: exceedances the thresholds skip
+        row[rng.uniform(size=ROW_LENGTH) < 0.02] = np.inf
+    elif kind == "all_inf":  # no finite threshold
+        row[:] = np.inf
+    elif kind == "few":  # under 30 excesses and under 100 visits
+        row[:] = 0.0
+        row[rng.choice(ROW_LENGTH, 10, replace=False)] += 5.0
+    elif kind == "equal":  # equal excesses where the threshold is 0
+        row[:] = 0.0
+        row[rng.choice(ROW_LENGTH, 60, replace=False)] = 1.0
+    elif kind == "ties":  # several values tied at the maximum
+        row[rng.choice(ROW_LENGTH, 3, replace=False)] = row.max()
+    elif kind == "pair":
+        row = PAIR_ROWS[seed % len(PAIR_ROWS)].copy()
+    return row
+
+
+def one_row(series, q):
+    """(theta_suveges, theta_qk, xi_gpd) and the flag of one row, from the
+    one-row estimators, as a sweep row had them when each row ran alone."""
+    out, flags = [np.nan] * 3, []
+    try:
+        u = threshold_from_quantile(series, q)
+        ind = exceedance_indicator(series, u)
+        out[0] = suveges_ei(ind, q).theta
+    except CmlSyncError as exc:
+        return out, f"suveges:{type(exc).__name__}"
+    try:
+        out[1] = qk_return_estimator(ind)[1].theta
+    except CmlSyncError as exc:
+        flags.append(f"qk:{type(exc).__name__}")
+    try:
+        out[2] = fit_gpd_mle(series[series > u], threshold=u).xi
+    except CmlSyncError as exc:
+        flags.append(f"gpd:{type(exc).__name__}")
+    return out, ";".join(flags)
+
+
+class TestRowLayer:
+    """The sweep's estimators run over all rows of a pass at once; each row
+    still gets, bit for bit, what the one-row estimators give it alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["plain", "inf", "all_inf", "collapsed", "few",
+                         "equal", "ties", "pair"]),
+        st.integers(0, 2**32 - 1)), min_size=1, max_size=8),
+        st.sampled_from([0.9, 0.95, 0.98]),
+        st.sampled_from([1, 2 * ROW_LENGTH, 1 << 16]),
+        st.sampled_from([1, 100, 1 << 14]))
+    def test_estimates_match_one_row_calls(self, kinds, q, block, fit):
+        series = np.array([series_row(kind, seed) for kind, seed in kinds])
+        skip = np.array([kind == "collapsed" for kind, _ in kinds])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_ROW_BLOCK_ELEMENTS", block)
+            mp.setattr(experiments, "_FIT_ELEMENTS", fit)
+            *got, flags = experiments._ei_estimates(series, skip, q)
+        for r, row in enumerate(series):
+            estimates = np.array([g[r] for g in got])
+            if skip[r]:
+                assert np.all(np.isnan(estimates)) and flags[r] == ""
+                continue
+            expect, flag = one_row(row, q)
+            assert estimates.tobytes() == np.array(expect).tobytes()
+            assert flags[r] == flag
+
+    def test_one_row_blocks_write_the_same_csvs(self, tmp_path, monkeypatch):
+        # collapsed rows beside live ones, and pair-sync rows that flag q_k
+        configs = [small_config(slope=2, n_values=(2, 3),
+                                gamma_values=(0.3, 0.0), epsilons=(0.0, 1e-2),
+                                burn_in=0, length=4000),
+                   small_config(observable="pair_sync", n_values=(5,),
+                                length=3000)]
+
+        def csvs(tag):
+            out = []
+            for i, cfg in enumerate(configs):
+                for name, run, export in (
+                        ("ei", run_ei_sweep, export_sweep_csv),
+                        ("gev", run_gev_sweep, export_gev_csv)):
+                    path = tmp_path / f"{tag}_{name}_{i}.csv"
+                    export(run(cfg), path)
+                    out.append(path.read_bytes())
+            return out
+
+        whole = csvs("whole")
+        assert b"collapsed" in whole[0] and b"qk:Insufficient" in whole[2]
+        monkeypatch.setattr(experiments, "_ROW_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(experiments, "_FIT_ELEMENTS", 1)
+        assert csvs("rows") == whole
 
 
 class TestPassBudget:
