@@ -8,7 +8,6 @@ extremal-index formula.
 from __future__ import annotations
 
 import csv
-from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +120,18 @@ def export_density_csv(hist: DensityHistogram, path) -> None:
     """Write `bin_index_1,...,bin_index_n,density` rows, in C order with
     `%.17g` densities and csv's \\r\\n line ends."""
     density = hist.density
-    # one plane of the first axis at a time keeps the Python rows few
-    rest = [c.ravel().tolist() for c in np.indices(density.shape[1:])]
-    row = ",".join(["%d"] * hist.n + ["%.17g"]) + "\r\n"
+    # a histogram holds few distinct densities: format each one once
+    values, which = np.unique(density, return_inverse=True)
+    text = np.array(["%.17g\r\n" % v for v in values.tolist()], dtype=object)
+    # "j,...," of each cell of a plane of the first axis
+    prefix = np.array(["".join(map("%d,".__mod__, cell))
+                       for cell in np.ndindex(density.shape[1:])], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"bin_index_{i + 1}" for i in range(hist.n)]
                           + ["density"]) + "\r\n")
-        for i, plane in enumerate(density):
-            fh.writelines(map(row.__mod__, zip(
-                repeat(i), *rest, plane.ravel().tolist())))
+        for i, plane in enumerate(which.reshape(len(density), -1)):
+            head = "%d," % i
+            fh.write(head + head.join((prefix + text[plane]).tolist()))
 
 
 def export_trace_csv(trace: DiagonalTrace, path) -> None:

@@ -657,9 +657,9 @@ def qk_rows(indicator, k_max: int = 0, min_visits: int = 100) -> tuple:
     Returns (q, tail, theta, visits, errors): q (R, k_max + 1), and per row
     the truncation tail, theta, the usable visits and the
     `InsufficientVisitsError` of a row with fewer than ``min_visits`` of
-    them (else None).  A usable visit at t returns first after k + 1 steps
-    when the set is missed at t + 1, ..., t + k and hit at t + k + 1, so
-    q_0 counts ``ind[:, :-1] & ind[:, 1:]``.
+    them, or with none at all (else None).  A usable visit at t returns
+    first after k + 1 steps when the set is missed at t + 1, ..., t + k and
+    hit at t + k + 1, so q_0 counts ``ind[:, :-1] & ind[:, 1:]``.
     """
     ind = np.asarray(indicator, dtype=bool)
     # a visit needs k_max + 1 subsequent steps for its window to be observable
@@ -675,7 +675,8 @@ def qk_rows(indicator, k_max: int = 0, min_visits: int = 100) -> tuple:
     with np.errstate(all="ignore"):
         q = returns / visits[:, None]
     tail = 1.0 - np.sum(q, axis=1)
-    errors = [InsufficientVisitsError(v, min_visits) if v < min_visits else None
+    need = max(min_visits, 1)  # no visit leaves theta at 0 / 0
+    errors = [InsufficientVisitsError(v, need) if v < need else None
               for v in visits.tolist()]
     return q, tail, _clip01(tail), visits, errors
 

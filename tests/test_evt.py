@@ -532,6 +532,18 @@ class TestQkEstimator:
         with pytest.raises(InsufficientVisitsError):
             qk_return_estimator(strip_indicator(traj, 1e-9))
 
+    @pytest.mark.parametrize("ind", [np.zeros(0, bool), np.ones(3, bool),
+                                     np.zeros(50, bool)],
+                             ids=["empty", "within_k_max", "all_false"])
+    def test_no_usable_visit_is_insufficient(self, ind):
+        # min_visits = 0 asks for no visits, but theta would be 0 / 0; at
+        # k_max = 2 a series of length 3 has no visit with a full window
+        with pytest.raises(InsufficientVisitsError):
+            qk_return_estimator(ind, k_max=2, min_visits=0)
+        *_, visits, errors = qk_rows(ind.reshape(1, -1), 2, 0)
+        assert visits[0] == 0
+        assert isinstance(errors[0], InsufficientVisitsError)
+
     def test_strip_indicator_matches_gap(self, rng):
         traj = rng.uniform(0, 1, (100, 3))
         ind = strip_indicator(traj, 0.2)

@@ -1,6 +1,7 @@
 """Transfer-operator discretization: construction, spectra, open-system EI."""
 import dataclasses
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -85,7 +86,8 @@ LOCAL_MAPS = st.one_of(st.integers(2, 5).map(LocalMap.affine_mod1),
                        st.just(SKEW))
 BINS = st.integers(1, 40)
 GAMMAS = st.one_of(st.just(0.0), st.floats(0.0, 0.95, exclude_max=True))
-SAMPLES = st.sampled_from([1, 4, 9, 81])
+# 256 and 289 samples need counts wider than one byte
+SAMPLES = st.sampled_from([1, 4, 9, 81, 256, 289])
 
 
 def full_grid_ladder(matrix, k, nus, tol=1e-13):
@@ -168,6 +170,8 @@ class TestBuild:
     @example(LocalMap.affine_mod1(3), 13, 0.3, 81, 1)
     @example(LocalMap.affine_mod1(2), 7, 0.0, 9, 50)
     @example(SKEW, 31, 0.6, 81, 1 << 14)
+    @example(LocalMap.affine_mod1(2), 1, 0.0, 289, 1 << 13)  # count 289
+    @example(SKEW, 17, 0.3, 256, 1 << 13)
     def test_matches_reference(self, local_map, k, gamma, spc, chunk_pairs):
         # chunk_pairs down to 1 puts every row in a chunk of its own
         spec = MapSpec(local_map, 2, gamma)
@@ -193,6 +197,24 @@ class TestBuild:
     def test_matches_reference_in_default_chunks(self, tripling, k):
         spec = MapSpec(tripling, 2, 0.3)
         assert same_csr(build_ulam(spec, k).matrix, reference_build(spec, k, 81))
+
+    def test_build_peak_and_one_stored_copy(self, tripling):
+        # k = 200 is not a multiple of the branch count, so cells straddle
+        # the branch ends and their images spread over the whole axis
+        spec = MapSpec(tripling, 2, 0.3)
+        build_ulam(spec, k=3)  # scipy.sparse fully loaded before tracing
+        tracemalloc.start()
+        try:
+            op = build_ulam(spec, k=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = op.matrix
+        assert m.nnz == m.data.size == m.indices.size == m.indptr[-1]
+        assert peak < 1.6 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(op.transposed, name),
+                                    getattr(m, name))
 
     def test_input_validation(self, tripling):
         with pytest.raises(DomainError):
