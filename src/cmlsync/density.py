@@ -63,7 +63,8 @@ def estimate_density(
 
     One `lockstep_gaps` pass advances all realizations, with the start
     states and kicks of `simulate_ensemble` at ``seed``, and folds each
-    chunk of the orbit into the counts.  Its ``gap`` maps a state to the
+    chunk of the orbit into the counts in place, so the counts are the
+    one histogram-sized array it holds.  Its ``gap`` maps a state to the
     flat index of its cell, below `_MAX_CELLS` and so exact in float64.
     """
     n = spec.n
@@ -78,8 +79,8 @@ def estimate_density(
         return np.minimum((chunk * bins).astype(np.int64), bins - 1) @ strides
 
     def fold(codes, start):
-        counts[:] += np.bincount(codes.ravel().astype(np.int64),
-                                 minlength=counts.size)
+        # in place: a bincount of counts.size would double the histogram
+        np.add.at(counts, codes.ravel().astype(np.int64), 1)
 
     point = GridPoint(n, spec.gamma, noise.epsilon, seed, realizations)
     lockstep_gaps(spec.local_map, [point], iterations_each, burn_in, cells,

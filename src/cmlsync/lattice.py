@@ -182,10 +182,13 @@ def _lattice_update(local_map: LocalMap, keep: np.ndarray, share: np.ndarray,
     mixes with 1.0 and 0.0, which gives its T values bit for bit.
 
     T, the mix and its guard run once over all sites; only the site sum
-    runs once per block, as ``np.add.reduce`` over the block's (R, n) view.
-    (``np.add.reduceat`` adds in another order, and gives other bits for
-    n >= 3.)  A coupled update writes T into a buffer of its own, so that
-    the per-block views the sums read are made once.
+    runs once per block, one total per row, scaled by ``share`` before it
+    is spread to the sites.  A block of n < 8 sites and R >= 16 (n - 2)
+    rows adds its n columns, which costs less than ``np.add.reduce`` over
+    its (R, n) view and gives its bits (below 8 terms numpy's pairwise sum
+    adds left to right); other blocks take the reduce.  (``reduceat`` adds
+    in another order.)  A coupled update writes T into a buffer of its
+    own, so that the per-block views the sums read are made once.
 
     A full-branch map x -> s x mod 1 takes ``y = s x; y -= floor(y)``,
     which equals the branch form ``mod(s x - i, 1)`` of `LocalMap.__call__`
@@ -205,13 +208,17 @@ def _lattice_update(local_map: LocalMap, keep: np.ndarray, share: np.ndarray,
         rows = sites_per_row.size
         totals = np.empty(rows)
         row_of_site = np.repeat(np.arange(rows), sites_per_row)
-        keep, share = (w if w.ndim == 0 else np.repeat(w, sites_per_row)
-                       for w in (keep, share))
-        sums = []  # per block: the (R, n) view of its T values, its totals
+        if keep.ndim:
+            keep = np.repeat(keep, sites_per_row)
+        reduced, columns = [], []  # per block: its view or columns, its totals
         site = row = 0
         for r, n in blocks:
-            sums.append((y[site:site + r * n].reshape(r, n),
-                         totals[row:row + r]))
+            view = y[site:site + r * n].reshape(r, n)
+            if n < 8 and r >= 16 * (n - 2):
+                first, second, *rest = view.T  # its n columns
+                columns.append((first, second, rest, totals[row:row + r]))
+            else:
+                reduced.append((view, totals[row:row + r]))
             site, row = site + r * n, row + r
 
     def update(src, dst):
@@ -226,10 +233,19 @@ def _lattice_update(local_map: LocalMap, keep: np.ndarray, share: np.ndarray,
             return  # gamma = 0: the mix 1.0 * y + 0.0 is y, bit for bit
         # np.add.reduce is the reduction np.sum(y, axis=-1) runs, without
         # its dispatch cost
-        for view, total in sums:
+        for view, total in reduced:
             np.add.reduce(view, axis=-1, out=total)
+        for first, second, rest, total in columns:
+            np.add(first, second, out=total)
+            for column in rest:
+                np.add(total, column, out=total)
+        # `_mix`, with share * total taken per row, not per site
+        np.multiply(totals, share, out=totals)
         totals.take(row_of_site, out=scratch, mode="wrap")
-        _mix(y, scratch, keep, share, over, out=dst)
+        np.multiply(y, keep, out=dst)
+        np.add(dst, scratch, out=dst)
+        np.greater_equal(dst, _ONE, out=over)
+        np.subtract(dst, _ONE, out=dst, where=over)
 
     return update
 
@@ -239,33 +255,33 @@ def _mix_weights(spec: MapSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(1.0 - spec.gamma), np.array(spec.gamma / spec.n)
 
 
-def _mix(y, total, keep, share, over, out=None) -> None:
-    """The mean-field mix: out = keep * y + share * total, in place on y
-    unless ``out`` is given.
+def _mix(y, total, keep, share, over) -> None:
+    """The mean-field mix in place: y = keep * y + share * total.
 
     ``total`` holds the sum of the sites' T values and broadcasts against
     ``y``; it is scaled in place.  ``over`` is boolean scratch shaped like
     ``y``.  Every output is a convex combination of values in [0, 1), so
     only the rare round-up to 1.0 needs a guard.
     """
-    out = y if out is None else out
     np.multiply(total, share, out=total)
-    np.multiply(y, keep, out=out)
-    np.add(out, total, out=out)
-    np.greater_equal(out, _ONE, out=over)
-    np.subtract(out, _ONE, out=out, where=over)
+    np.multiply(y, keep, out=y)
+    np.add(y, total, out=y)
+    np.greater_equal(y, _ONE, out=over)
+    np.subtract(y, _ONE, out=y, where=over)
 
 
-def _kick(dst: np.ndarray, kick: np.ndarray) -> None:
+def _kick(dst: np.ndarray, kick: np.ndarray, over: np.ndarray) -> None:
     """Add the noise kick eps * omega to dst in place, mod 1.
 
     ``y - floor(y)`` rounds once, as ``np.mod(y, 1.0)`` does, to the same
     value.  It gives 1.0 for a sum a hair below 0; that wraps to 0.  A kick
-    of 0.0 leaves dst as it is, bit for bit.
+    of 0.0 leaves dst as it is, bit for bit.  ``kick`` is overwritten, and
+    ``over`` is boolean scratch shaped like dst.
     """
     np.add(dst, kick, out=dst)
-    np.subtract(dst, np.floor(dst), out=dst)
-    np.copyto(dst, 0.0, where=dst >= _ONE)
+    np.subtract(dst, np.floor(dst, out=kick), out=dst)
+    np.greater_equal(dst, _ONE, out=over)
+    np.copyto(dst, 0.0, where=over)
 
 
 def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray,
@@ -282,9 +298,9 @@ def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray,
     draws each point's kicks in blocks as long as a pass of its block
     alone would.
     """
-    block = max(1, min(_NOISE_BLOCK_STEPS,
-                       _NOISE_BLOCK_ELEMENTS // (widest or x.size)))
+    block = _noise_steps(widest or x.size)
     work = np.empty((2,) + x.shape)  # burn-in states, alternating
+    over = np.empty(x.shape, dtype=bool)  # `_kick`'s scratch
     prev = work[0]
     prev[...] = x
     if burn_in == 0:
@@ -299,10 +315,14 @@ def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray,
             dst = out[t - burn_in] if t >= burn_in else work[t & 1]
             update(prev, dst)
             if kicks is not None:
-                _kick(dst, kicks[j])
+                _kick(dst, kicks[j], over)
             prev = dst
         done += todo
     return out
+
+
+def _noise_steps(widest: int) -> int:  # per block of kicks of `_advance`
+    return max(1, min(_NOISE_BLOCK_STEPS, _NOISE_BLOCK_ELEMENTS // widest))
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -381,12 +401,21 @@ def _chunk_steps(blocks: list[tuple[int, int]], length: int) -> int:
 
 
 def _pass_bytes(points: list[GridPoint], length: int, folded: bool) -> int:
-    """What a `lockstep_gaps` pass over ``points`` holds: its rows' series
-    unless they are folded, its chunk buffer and its states."""
+    """What a `lockstep_gaps` pass over ``points`` holds at its peak: the
+    series unless folded, the chunk, its values and room for ``gap`` (three
+    chunks), per site 58 bytes of states and `_advance` and update buffers,
+    per row the weights and totals, and with noise two blocks of kicks (one
+    is drawn while one is held) and the draw buffer."""
     rows = sum(p.realizations for p in points)
     sites = sum(p.realizations * p.n for p in points)
-    per_chunk = _chunk_steps(_blocks(points), length)
-    return ((per_chunk + 1) * sites + (0 if folded else length * rows)) * 8
+    blocks = _blocks(points)
+    widest = max(r * n for r, n in blocks)
+    per_chunk = _chunk_steps(blocks, length)
+    noisy = max([p.realizations * p.n for p in points if p.epsilon != 0.0],
+                default=0)  # the widest noisy point's sites
+    kicks = _noise_steps(widest) * (2 * sites + noisy) if noisy else 0
+    return (8 * (0 if folded else length * rows) + 58 * sites + 32 * rows
+            + 8 * per_chunk * (4 * sites + rows) + 8 * kicks)
 
 
 def split_passes(groups: list[list[GridPoint]], length: int
@@ -435,10 +464,10 @@ def lockstep_gaps(
     row's values, and ``finals`` each point's (R, n) last states.  With
     ``fold``, ``fold(values, start)`` receives each chunk's (m, R_total)
     values and the orbit index of its first row instead, and ``series`` is
-    None.  What the pass holds, the series (unless folded), the chunk
-    buffer and the states, must fit `_MAX_ENSEMBLE_BYTES`; it is checked
-    before anything is allocated.  `split_passes` cuts a grid into passes
-    that fit.
+    None.  What the pass holds (`_pass_bytes`: the series unless folded,
+    the chunk and the kernel's buffers) must fit `_MAX_ENSEMBLE_BYTES`; it
+    is checked before anything is allocated.  `split_passes` cuts a grid
+    into passes that fit.
     """
     if length < 1 or burn_in < 0 or not points:
         raise DomainError("need length >= 1, burn-in >= 0 and a grid point")
@@ -538,7 +567,8 @@ def step_noisy(
     """
     out = step(state, spec)
     if noise.epsilon != 0.0:
-        _kick(out, noise.epsilon * rng.uniform(-0.5, 0.5, size=out.shape))
+        _kick(out, noise.epsilon * rng.uniform(-0.5, 0.5, size=out.shape),
+              np.empty(out.shape, dtype=bool))
     return out
 
 

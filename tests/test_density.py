@@ -1,5 +1,6 @@
 """Histogram density estimation and diagonal-trace extraction."""
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ class TestEstimateDensity:
             estimate_density(MapSpec(tripling, 3, 0.1), 1, 10, 1000, seed=0)
         with pytest.raises(MemoryBudgetError):  # 2 x 16 GB of states
             estimate_density(MapSpec(tripling, 2, 0.1), 10**9, 10, 10, seed=0)
+
+    def test_fold_holds_one_histogram(self, tripling):
+        # 1200^2 int64 counts are 11.5 MB; the pass itself holds under 2 MB
+        spec = MapSpec(tripling, 2, 0.3)
+        tracemalloc.start()
+        try:
+            hist = estimate_density(spec, 50, 400, 1200, seed=1, burn_in=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.sum() == 50 * 400
+        assert peak < 1.25 * hist.counts.nbytes
 
     def test_noise_changes_counts(self, tripling):
         spec = MapSpec(tripling, 2, 0.3)

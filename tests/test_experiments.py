@@ -294,10 +294,12 @@ class TestCompoundPoisson:
                            suveges_ei(ind, 1.0 - mu).theta, horizon,
                            [float(h) for h in np.bincount(counts) / size]))
             largest = max(largest, windows.nbytes)
-        # a budget the windows overrun, but one chunk of them fits
+        # a budget the windows overrun, but one chunk of them fits, with
+        # chunks of 32 kB of states
         budget = 700_000
         assert largest > budget
         monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", budget)
+        monkeypatch.setattr(lattice, "_CHUNK_ELEMENTS", 1 << 12)
         with pytest.raises(MemoryBudgetError):
             simulate_ensemble(MapSpec(cfg.local_map, 2, 0.3), size,
                               largest // (size * 2 * 8), 0)

@@ -248,6 +248,10 @@ lengths = st.sampled_from([1, 2, 41, _NOISE_BLOCK_STEPS - 1, _NOISE_BLOCK_STEPS,
                            _NOISE_BLOCK_STEPS + 1, 2 * _NOISE_BLOCK_STEPS + 3])
 
 
+# few rows, or a block wide enough for the kernel's column sums
+realizations = st.one_of(st.integers(1, 4), st.integers(5, 200))
+
+
 def boundary_values(local_map: LocalMap) -> list[float]:
     """Every branch boundary in [0, 1) and its two float neighbours."""
     vals = {np.nextafter(1.0, 0.0)}
@@ -261,9 +265,28 @@ class TestKernelOracle:
         assert LocalMap.affine_mod1(5)._full_branch_slope == 5
         assert UNEVEN._full_branch_slope is None
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_column_adds_are_the_reduce(self, n):
+        # the kernel sums the sites of a block of n < 8 column by column:
+        # numpy's pairwise sum adds fewer than 8 terms left to right
+        y = np.random.default_rng(n).random((4000, n))
+        y[::7] **= 40  # tiny next to large terms, where order would show
+        y[1::7, 0] = np.nextafter(1.0, 0.0)
+        total = y[:, 0] + y[:, 1]
+        for j in range(2, n):
+            total += y[:, j]
+        assert same_bits(total, np.add.reduce(y, axis=-1))
+
     @settings(max_examples=60, deadline=None)
-    @given(slopes, sizes, gammas, epsilons, st.integers(1, 4), lengths,
+    @given(slopes, sizes, gammas, epsilons, realizations, lengths,
            burn_ins, st.integers(0, 2**32))
+    # either side of the column-sum rule (n < 8 and R >= 16 (n - 2))
+    @example(3, 2, 0.3, 0.0, 1, 41, 7, 1)
+    @example(3, 3, 0.3, 1e-2, 15, 41, 7, 2)
+    @example(3, 3, 0.3, 1e-2, 16, 41, 7, 2)
+    @example(5, 7, 0.6, 0.0, 79, 41, 0, 3)
+    @example(5, 7, 0.6, 0.0, 80, 41, 0, 3)
+    @example(2, 8, 0.45, 1e-4, 200, 41, 1, 4)
     def test_simulate_ensemble(self, slope, n, gamma, eps, r, length, burn_in,
                                seed):
         spec = MapSpec(LocalMap.affine_mod1(slope), n, gamma)
@@ -437,6 +460,34 @@ class TestLockstepPass:
             range(0, length, per_chunk))
         assert same_bits(np.concatenate([v for _, v in folded]), series.T)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4),
+           st.lists(st.tuples(st.integers(2, 9), realizations,
+                              st.sampled_from([0.0, 0.3, 0.6]),
+                              st.sampled_from([0.0, 1e-2])),
+                    min_size=1, max_size=4),
+           st.integers(0, 2**32), st.sampled_from([0, 3]),
+           st.sampled_from([1, 5, 40]))
+    # blocks of 180 and 36 rows as in the benchmark's wide sweeps, a block
+    # either side of the column-sum rule, and n >= 8 on the reduce
+    @example(3, [(2, 60, 0.3, 0.0), (2, 120, 0.6, 0.0), (3, 180, 0.3, 0.0),
+                 (2, 36, 0.3, 0.0), (3, 36, 0.6, 0.0)], 1, 0, 5)
+    @example(2, [(4, 31, 0.3, 1e-2), (5, 48, 0.6, 0.0), (9, 200, 0.3, 0.0),
+                 (4, 32, 0.0, 0.0)], 2, 3, 40)
+    def test_wide_and_narrow_blocks(self, slope, specs, seed, burn_in,
+                                    length):
+        local_map = LocalMap.affine_mod1(slope)
+        points = [GridPoint(n, g, e, seed + i, r)
+                  for i, (n, r, g, e) in enumerate(specs)]
+        series, finals = lockstep_gaps(local_map, points, length, burn_in,
+                                       SPREAD)
+        expect = [simulate_ensemble(MapSpec(local_map, p.n, p.gamma),
+                                    p.realizations, length, p.seed,
+                                    NoiseSpec(p.epsilon), burn_in)
+                  for p in points]
+        assert same_bits(series, np.concatenate([SPREAD(e).T for e in expect]))
+        assert all(same_bits(f, e[-1]) for f, e in zip(finals, expect))
+
     def test_split_passes_cuts_between_groups(self, monkeypatch):
         groups = [[GridPoint(n, g, 0.0, 11 * i + j, 3)
                    for j, g in enumerate((0.0, 0.4))]
@@ -471,6 +522,30 @@ class TestLockstepPass:
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+    @pytest.mark.parametrize("points, length, folded", [
+        # one block of 40 000 sites, one step per chunk
+        ([GridPoint(2, 0.3, 0.0, 1, 20_000)], 20, True),
+        ([GridPoint(2, 0.3, 0.0, 1, 20_000)], 20, False),
+        # the benchmark's wide sweep: column sums in both blocks
+        ([GridPoint(n, g, 0.0, i, 60) for n in (2, 3)
+          for i, g in enumerate((0.1, 0.3, 0.5))], 400, False),
+        # many narrow noisy blocks: a block of kicks spans every site
+        ([GridPoint(n, 0.3, e, i, 3) for i, (n, e) in enumerate(
+            [(n, e) for n in range(2, 12) for e in (0.0, 1e-3)])], 300, True),
+        ([GridPoint(n, 0.3, 1e-2, i, 500) for i, n in enumerate((2, 3))],
+         50, False),
+    ])
+    def test_peak_within_pass_bytes(self, tripling, points, length, folded):
+        gap = OBSERVABLES["global_sync"].value  # what sweeps pass
+        fold = (lambda values, start: None) if folded else None
+        tracemalloc.start()
+        try:
+            lockstep_gaps(tripling, points, length, 10, gap, fold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= lattice._pass_bytes(points, length, folded)
 
     def test_budget_raises_before_allocating(self, tripling):
         # 1000 rows x 10^6 steps of series: 8 GB, though the states are small
