@@ -23,7 +23,6 @@ from .lattice import (
     LocalMap,
     MapSpec,
     NoiseSpec,
-    TrajectoryConfig,
     coupling_det,
     coupling_matrix,
     simulate,
@@ -46,7 +45,7 @@ from .ulam import UlamOperator, build_ulam, ei_spectral, invariant_density_ulam
 
 __all__ = [
     "CmlSyncError", "ConfigError", "DomainError", "FitError",
-    "LocalMap", "MapSpec", "NoiseSpec", "TrajectoryConfig",
+    "LocalMap", "MapSpec", "NoiseSpec",
     "step", "simulate", "simulate_ensemble", "coupling_matrix", "coupling_det",
     "eval_global_sync", "evaluate_series", "running_maximum",
     "threshold_from_quantile",

@@ -20,7 +20,6 @@ from .lattice import (
     LocalMap,
     MapSpec,
     NoiseSpec,
-    TrajectoryConfig,
     export_trajectory_csv,
     simulate,
 )
@@ -56,8 +55,8 @@ def _output(ns, name: str) -> str:
 
 def cmd_simulate(ns) -> int:
     spec = MapSpec(LocalMap.affine_mod1(ns.slope), ns.n, ns.gamma)
-    traj = simulate(TrajectoryConfig(spec, ns.length, NoiseSpec(ns.epsilon),
-                                     burn_in=ns.burn_in, seed=ns.seed))
+    traj = simulate(spec, ns.length, NoiseSpec(ns.epsilon), ns.burn_in,
+                    ns.seed)
     path = _output(ns, "trajectory.csv")
     export_trajectory_csv(traj, path)
     print(f"wrote {path} ({ns.length} steps, n={ns.n}, gamma={ns.gamma})")

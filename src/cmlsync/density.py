@@ -104,7 +104,9 @@ def diagonal_trace(hist: DensityHistogram, band: float | None = None) -> Diagona
         band = 2.0 * bin_width
     if band < bin_width:
         raise DomainError("band must be at least one bin width")
-    half = int(band * bins)  # cells with |center - x| <= band on each side
+    # cells with |center - x| <= band on each side; a band of k bin widths,
+    # k * (1 / bins), can land a hair below k when multiplied back
+    half = int(band * bins + 1e-9)
     density = hist.density
     centers = (np.arange(bins) + 0.5) * bin_width
     values = np.empty(bins)

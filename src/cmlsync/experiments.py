@@ -81,7 +81,6 @@ class ExperimentConfig:
     realizations: int = 10
     seed: int = 0
     burn_in: int = 1000
-    out_dir: str | None = None
 
     def __post_init__(self):
         for name, minimum in (("slope", 2), ("length", 2), ("realizations", 1),
@@ -129,14 +128,6 @@ class ExperimentConfig:
             )
         return out
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         for key in ("n_values", "gamma_values", "epsilons"):
@@ -165,13 +156,6 @@ def _eps_key(epsilon: float) -> int:
     return int(round(epsilon * 10**8))
 
 
-def _grid(config: ExperimentConfig):
-    for n in config.n_values:
-        for gamma in config.gamma_values:
-            for eps in config.epsilons:
-                yield n, gamma, eps
-
-
 def _n_group(config: ExperimentConfig, n: int, *tag: int,
              noise: bool = True, realizations: int | None = None
              ) -> list[GridPoint]:
@@ -190,13 +174,14 @@ def _n_group(config: ExperimentConfig, n: int, *tag: int,
     return points
 
 
-def _sweep(config: ExperimentConfig, worker, *tag: int, **group) -> list:
+def _sweep(config: ExperimentConfig, worker, *tag: int, gap=None,
+           **group) -> list:
     """The concatenated lists ``worker(series, observed)`` returns for the
     lock-step passes of the grid, in order, where ``series`` holds a pass's
-    rows' (R, length) series of the config's observable, and ``observed``
-    lists per grid point of the pass, keyed by ``tag``, the point and its
-    rows' ``collapsed`` flags; each point's rows follow the previous
-    point's.
+    rows' (R, length) series of ``gap`` (by default the config's
+    observable), and ``observed`` lists per grid point of the pass, keyed
+    by ``tag``, the point and its rows' ``collapsed`` flags; each point's
+    rows follow the previous point's.
 
     The n-groups run in the consecutive lock-step passes of
     `split_passes`: one pass when their series fit the memory budget
@@ -206,15 +191,16 @@ def _sweep(config: ExperimentConfig, worker, *tag: int, **group) -> list:
     groups = [_n_group(config, n, *tag, **group) for n in config.n_values]
     out = []
     for run in split_passes(groups, config.length):
-        out += _pass(config, worker, [p for points in run for p in points])
+        out += _pass(config, worker, [p for points in run for p in points],
+                     gap or observables.OBSERVABLES[config.observable].value)
     return out
 
 
-def _pass(config: ExperimentConfig, worker, points: list[GridPoint]) -> list:
+def _pass(config: ExperimentConfig, worker, points: list[GridPoint], gap
+          ) -> list:
     """`_sweep`'s worker over the one lock-step pass of ``points``."""
     series, finals = lockstep_gaps(
-        config.local_map, points, config.length, config.burn_in,
-        observables.OBSERVABLES[config.observable].value)
+        config.local_map, points, config.length, config.burn_in, gap)
     return worker(series, [
         (p, _collapsed(final, MapSpec(config.local_map, p.n, p.gamma)))
         for p, final in zip(points, finals)])
@@ -518,26 +504,20 @@ def run_compound_poisson_check(
         raise ConfigError("ensemble_size must be >= 50")
     if any(eps != 0.0 for eps in config.epsilons):
         raise ConfigError("compound-Poisson check is a deterministic protocol")
-    reports = []
-    for run in split_passes(
-            [_n_group(config, n, 3, noise=False, realizations=1)
-             for n in config.n_values], config.length):
-        reports += _visit_reports(config, run, accuracy, t, ensemble_size)
-    return reports
-
-
-def _visit_reports(config: ExperimentConfig, groups: list[list[GridPoint]],
-                   accuracy: float, t: float, ensemble_size: int
-                   ) -> list[dict]:
-    """`run_compound_poisson_check`'s records for the n-groups of one
-    lock-step pass of long orbits."""
     # the strip is evt.strip_indicator's: a global-sync gap <= accuracy
     spread = observables.OBSERVABLES["global_sync"].gap
-    gaps, _ = lockstep_gaps(config.local_map,
-                            [p for points in groups for p in points],
-                            config.length, config.burn_in, spread)
-    windows = [w for points in groups
-               for w in _n_group(config, points[0].n, 4, noise=False,
+    return _sweep(config, partial(_visit_reports, config, spread, accuracy,
+                                  t, ensemble_size), 3, gap=spread,
+                  noise=False, realizations=1)
+
+
+def _visit_reports(config: ExperimentConfig, spread, accuracy: float,
+                   t: float, ensemble_size: int, gaps: np.ndarray,
+                   observed: list) -> list[dict]:
+    """`run_compound_poisson_check`'s records for one lock-step pass of
+    long orbits, one row per (n, gamma)."""
+    windows = [w for n in dict.fromkeys(p.n for p, _ in observed)
+               for w in _n_group(config, n, 4, noise=False,
                                  realizations=ensemble_size)]
     reports = []
     for window, gap in zip(windows, gaps):
@@ -594,13 +574,13 @@ def run_density_figures(
         raise ConfigError("density figures support n in {2, 3} only")
     make_output_dir(out_dir)
     records = []
-    for n, gamma, eps in _grid(config):
+    for point in (p for n in config.n_values for p in _n_group(config, n, 5)):
+        n, gamma, eps = point.n, point.gamma, point.epsilon
         b = bins if bins is not None else (300 if n == 2 else 60)
-        spec = MapSpec(config.local_map, n, gamma)
-        seed = _point_seed(config.seed, n, _gamma_key(gamma), _eps_key(eps), 5)
         hist = density_mod.estimate_density(
-            spec, density_realizations, iterations_each, b, seed,
-            noise=NoiseSpec(eps), burn_in=config.burn_in,
+            MapSpec(config.local_map, n, gamma), density_realizations,
+            iterations_each, b, point.seed, noise=NoiseSpec(eps),
+            burn_in=config.burn_in,
         )
         trace = density_mod.diagonal_trace(hist)
         tag = f"n{n}_g{_gamma_key(gamma)}_e{_eps_key(eps)}"

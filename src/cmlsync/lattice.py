@@ -12,7 +12,7 @@ with eps * uniform(-0.5, 0.5), reduced mod 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -126,40 +126,10 @@ class NoiseSpec:
             raise DomainError("noise intensity must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """Parameters of a single reproducible trajectory."""
-
-    map_spec: MapSpec
-    length: int
-    noise: NoiseSpec = NoiseSpec(0.0)
-    burn_in: int = 0
-    seed: int = 0
-    initial_state: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise DomainError("trajectory length must be positive")
-        if self.burn_in < 0:
-            raise DomainError("burn-in must be >= 0")
-        if self.initial_state is not None:
-            init = np.asarray(self.initial_state, dtype=float)
-            if init.shape != (self.map_spec.n,):
-                raise DomainError("initial state must have n components")
-            _check_unit(init, "initial state components")
-
-
 def _check_unit(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all((arr >= 0.0) & (arr < 1.0)):  # rejects NaN too
         raise DomainError(f"{what} must lie in [0, 1)")
     return arr
-
-
-def validate_state(state: np.ndarray, n: int) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != n:
-        raise DomainError(f"state must have {n} components")
-    return _check_unit(state, "state components")
 
 
 _ONE = np.array(1.0)
@@ -285,8 +255,8 @@ def _kick(dst: np.ndarray, kick: np.ndarray, over: np.ndarray) -> None:
 
 
 def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray,
-             widest: int | None = None) -> np.ndarray:
-    """The lattice kernel behind every time loop of the package.
+             widest: int) -> np.ndarray:
+    """The time loop of `lockstep_gaps`, the package's one orbit driver.
 
     Fills ``out`` (length, S) with the orbit of the checked flat states
     ``x`` (S,) under ``update``: row 0 is the state ``burn_in`` steps
@@ -294,11 +264,10 @@ def _advance(update, x: np.ndarray, burn_in: int, draw, out: np.ndarray,
     the (steps, S) noise kicks of the next ``steps`` steps, or is None
     for a noise-free orbit; it is called once per block of steps, and never
     for a step past the last row.  A block is as many steps as the kicks of
-    ``widest`` sites (default all S) fit `_NOISE_BLOCK_ELEMENTS`, so a pass
-    draws each point's kicks in blocks as long as a pass of its block
-    alone would.
+    ``widest`` sites fit `_NOISE_BLOCK_ELEMENTS`, so a pass draws each
+    point's kicks in blocks as long as a pass of its block alone would.
     """
-    block = _noise_steps(widest or x.size)
+    block = _noise_steps(widest)
     work = np.empty((2,) + x.shape)  # burn-in states, alternating
     over = np.empty(x.shape, dtype=bool)  # `_kick`'s scratch
     prev = work[0]
@@ -333,47 +302,12 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
-def _orbit(
-    spec: MapSpec,
-    x: np.ndarray,
-    length: int,
-    noise: NoiseSpec,
-    rng: np.random.Generator,
-    burn_in: int = 0,
-) -> np.ndarray:
-    """The (length, R, n) orbit of the (R, n) states ``x`` under one spec.
-
-    Row 0 is the state ``burn_in`` steps after ``x``, row k the k-th state
-    after that.  The states are checked once here, and every step runs
-    unchecked.  Noise is drawn in blocks of steps with one
-    ``rng.uniform(-0.5, 0.5, size=(block, R, n))`` call, which consumes the
-    stream exactly as one draw per step would, and no further than the last
-    step taken.  The orbit is allocated here, within `_MAX_ENSEMBLE_BYTES`.
-    """
-    x = validate_state(x, spec.n)
-    if length < 1 or burn_in < 0:
-        raise DomainError("need length >= 1 and burn-in >= 0")
-    realizations, n = x.shape
-    _check_budget(length * realizations * n * 8,
-                  f"ensemble of {length} x {realizations} x {n} states")
-    out = np.empty((length, realizations, n))
-    eps = noise.epsilon
-    draw = None
-    if eps != 0.0:
-        def draw(steps):
-            kicks = rng.uniform(-0.5, 0.5, size=(steps, realizations * n))
-            return np.multiply(kicks, eps, out=kicks)
-    update = _lattice_update(spec.local_map, *_mix_weights(spec), [x.shape])
-    _advance(update, x.reshape(-1), burn_in, draw, out.reshape(length, -1))
-    return out
-
-
 @dataclass(frozen=True)
 class GridPoint:
     """One grid point of a `lockstep_gaps` pass: ``realizations`` rows of an
-    ``n``-site lattice with coupling ``gamma`` and noise ``epsilon``, whose
-    start states and kicks come from the stream of ``seed`` exactly as in
-    `simulate_ensemble`."""
+    ``n``-site lattice with coupling ``gamma`` and noise ``epsilon``.  The
+    stream of ``seed`` gives first the uniform start states of its sites,
+    row by row, then the kicks uniform(-0.5, 0.5) * epsilon of each step."""
 
     n: int
     gamma: float
@@ -438,6 +372,19 @@ def split_passes(groups: list[list[GridPoint]], length: int
     return runs
 
 
+def _check_points(local_map: LocalMap, points: list[GridPoint],
+                  length: int, burn_in: int) -> None:
+    """`lockstep_gaps`' checks of its arguments, as `DomainError`."""
+    if length < 1 or burn_in < 0 or not points:
+        raise DomainError("need length >= 1, burn-in >= 0 and a grid point")
+    for p in points:
+        MapSpec(local_map, p.n, p.gamma)
+        NoiseSpec(p.epsilon)
+        if p.realizations < 1:
+            raise DomainError(f"a grid point needs >= 1 realization, got "
+                              f"{p.realizations}")
+
+
 def lockstep_gaps(
     local_map: LocalMap,
     points: list[GridPoint],
@@ -452,11 +399,10 @@ def lockstep_gaps(
     All sites of all ``points`` advance in one flat array, rows in point
     order; each row mixes with its own point's weights, and each noisy
     point adds the kicks of its own stream to its own rows.  So each
-    point's rows hold, bit for bit, the orbits of
-    ``simulate_ensemble(MapSpec(local_map, n, gamma), realizations, length,
-    seed, NoiseSpec(epsilon), burn_in)``.  Consecutive points of equal n
-    form a block, and only the site sum of the update runs once per block.
-    The orbit streams through one reused buffer that holds about
+    point's rows hold, bit for bit, the orbits that a pass of that point
+    alone gives, which `simulate_ensemble` returns.  Consecutive points of
+    equal n form a block, and only the site sum of the update runs once per
+    block.  The orbit streams through one reused buffer that holds about
     `_CHUNK_ELEMENTS` states of the widest block, and ``gap`` maps each
     block's chunk (m, R_block, n) to (m, R_block) values.
 
@@ -464,16 +410,14 @@ def lockstep_gaps(
     row's values, and ``finals`` each point's (R, n) last states.  With
     ``fold``, ``fold(values, start)`` receives each chunk's (m, R_total)
     values and the orbit index of its first row instead, and ``series`` is
-    None.  What the pass holds (`_pass_bytes`: the series unless folded,
-    the chunk and the kernel's buffers) must fit `_MAX_ENSEMBLE_BYTES`; it
-    is checked before anything is allocated.  `split_passes` cuts a grid
-    into passes that fit.
+    None.  With ``gap`` None the fold receives the chunk's raw (m, S)
+    states, valid until the next chunk overwrites them.  What the pass
+    holds (`_pass_bytes`: the series unless folded, the chunk and the
+    kernel's buffers) must fit `_MAX_ENSEMBLE_BYTES`; it is checked before
+    anything is allocated.  `split_passes` cuts a grid into passes that
+    fit.
     """
-    if length < 1 or burn_in < 0 or not points:
-        raise DomainError("need length >= 1, burn-in >= 0 and a grid point")
-    for p in points:
-        MapSpec(local_map, p.n, p.gamma)
-        NoiseSpec(p.epsilon)
+    _check_points(local_map, points, length, burn_in)
     rows = sum(p.realizations for p in points)
     _check_budget(
         _pass_bytes(points, length, fold is not None),
@@ -526,12 +470,15 @@ def lockstep_gaps(
     for start in range(0, length, per_chunk):
         m = min(per_chunk, length - start)
         states = _advance(update, x, skip, draw, chunk[:m], widest)
-        values = np.empty((m, rows))
-        site = row = 0
-        for r, n in blocks:
-            values[:, row:row + r] = gap(
-                states[:, site:site + r * n].reshape(m, r, n))
-            site, row = site + r * n, row + r
+        if gap is None:
+            values = states
+        else:
+            values = np.empty((m, rows))
+            site = row = 0
+            for r, n in blocks:
+                values[:, row:row + r] = gap(
+                    states[:, site:site + r * n].reshape(m, r, n))
+                site, row = site + r * n, row + r
         if fold is None:
             series[:, start:start + m] = values.T
         else:
@@ -547,7 +494,9 @@ def lockstep_gaps(
 
 def step(state: np.ndarray, spec: MapSpec) -> np.ndarray:
     """One deterministic lattice update.  Works on (..., n) arrays."""
-    state = validate_state(state, spec.n)
+    state = _check_unit(np.asarray(state, dtype=float), "state components")
+    if state.shape[-1:] != (spec.n,):
+        raise DomainError(f"state must have {spec.n} components")
     out = np.empty(state.shape)
     update = _lattice_update(spec.local_map, *_mix_weights(spec),
                              [(state.size // spec.n, spec.n)])
@@ -597,23 +546,17 @@ def _rng_for(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
 
 
-def simulate(config: TrajectoryConfig) -> np.ndarray:
-    """Generate a trajectory of shape (length, n).
+def simulate(spec: MapSpec, length: int, noise: NoiseSpec = NoiseSpec(0.0),
+             burn_in: int = 0, seed: int = 0) -> np.ndarray:
+    """Generate a trajectory of shape (length, n): the one realization of
+    `simulate_ensemble` at ``seed``.
 
     Row 0 is the state reached after ``burn_in`` steps from the initial
     state; subsequent rows are successive updates.  With a fixed seed the
     output is bit-identical across runs, and a burn_in=k run equals the tail
     of a burn_in=0 run of length m+k.
     """
-    spec = config.map_spec
-    rng = _rng_for(config.seed)
-    if config.initial_state is not None:
-        state = np.asarray(config.initial_state, dtype=float)
-    else:
-        state = rng.uniform(0.0, 1.0, size=spec.n)
-    orbit = _orbit(spec, state.reshape(1, spec.n), config.length,
-                   config.noise, rng, config.burn_in)
-    return orbit.reshape(config.length, spec.n)
+    return simulate_ensemble(spec, 1, length, seed, noise, burn_in)[:, 0]
 
 
 def simulate_ensemble(
@@ -629,11 +572,24 @@ def simulate_ensemble(
     All realizations advance in lock-step from one seeded stream, so the
     result is deterministic given (seed, realizations, length, burn_in) but
     individual rows are not reproducible in isolation; use `simulate` with a
-    derived seed when per-realization streams matter.
+    derived seed when per-realization streams matter.  The orbit is a
+    one-point `lockstep_gaps` pass whose fold copies each chunk of states;
+    the result and the pass together must fit `_MAX_ENSEMBLE_BYTES`, which
+    is checked before anything is allocated.
     """
-    rng = _rng_for(seed)
-    states = rng.uniform(0.0, 1.0, size=(realizations, spec.n))
-    return _orbit(spec, states, length, noise, rng, burn_in)
+    point = GridPoint(spec.n, spec.gamma, noise.epsilon, seed, realizations)
+    _check_points(spec.local_map, [point], length, burn_in)
+    _check_budget(8 * length * realizations * spec.n
+                  + _pass_bytes([point], length, True),
+                  f"ensemble of {length} x {realizations} x {spec.n} states")
+    out = np.empty((length, realizations, spec.n))
+    flat = out.reshape(length, -1)
+
+    def fold(states, start):
+        flat[start:start + len(states)] = states
+
+    lockstep_gaps(spec.local_map, [point], length, burn_in, None, fold)
+    return out
 
 
 def export_trajectory_csv(trajectory: np.ndarray, path) -> None:

@@ -25,8 +25,6 @@ class TheoryInputs:
     gamma: float
     lam: float  # expansion bound of the local map
     density_trace: Callable[[np.ndarray], np.ndarray] | None = None
-    sup_h: float | None = None
-    inf_h: float | None = None
 
     def check_hypothesis(self) -> None:
         if self.gamma >= 1.0 - self.lam:

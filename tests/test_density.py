@@ -107,6 +107,17 @@ class TestDiagonalTrace:
         with pytest.raises(DomainError):
             diagonal_trace(hist_flat, band=0.01)  # narrower than one bin
 
+    @pytest.mark.parametrize("bins", [49, 60, 98])
+    def test_tube_width_in_cells(self, bins):
+        # at 49 and 98 bins, 2 * (1 / bins) * bins is a hair below 2
+        counts = np.arange(bins * bins, dtype=np.int64).reshape(bins, bins)**2
+        hist = DensityHistogram(2, bins, counts, int(counts.sum()))
+        i = bins // 2
+        for band, half in ((None, 2), (1.0 / bins, 1), (2.0 / bins, 2)):
+            trace = diagonal_trace(hist, band)
+            tube = hist.density[i - half:i + half + 1, i - half:i + half + 1]
+            assert trace.values[i] == np.mean(tube)
+
     def test_as_function_interpolates(self, hist_flat):
         f = diagonal_trace(hist_flat).as_function()
         x = np.linspace(0.0, 1.0, 33)

@@ -15,8 +15,6 @@ from cmlsync.lattice import (
     LocalMap,
     MapSpec,
     NoiseSpec,
-    TrajectoryConfig,
-    _orbit,
     _rng_for,
     coupling_det,
     coupling_matrix,
@@ -138,23 +136,13 @@ class TestCoupling:
 
 class TestSimulate:
     def test_deterministic_given_seed(self, spec2):
-        cfg = TrajectoryConfig(spec2, 500, seed=9)
-        assert np.array_equal(simulate(cfg), simulate(cfg))
+        assert np.array_equal(simulate(spec2, 500, seed=9),
+                              simulate(spec2, 500, seed=9))
 
     def test_burn_in_equals_tail_of_longer_run(self, spec2):
-        a = simulate(TrajectoryConfig(spec2, 300, burn_in=100, seed=4))
-        b = simulate(TrajectoryConfig(spec2, 400, burn_in=0, seed=4))
+        a = simulate(spec2, 300, burn_in=100, seed=4)
+        b = simulate(spec2, 400, burn_in=0, seed=4)
         assert np.array_equal(a, b[100:])
-
-    def test_initial_state_respected(self, spec2):
-        x0 = np.array([0.2, 0.7])
-        traj = simulate(TrajectoryConfig(spec2, 10, initial_state=x0))
-        assert np.array_equal(traj[0], x0)
-
-    def test_initial_state_out_of_range_rejected(self, spec2):
-        for x0 in ([0.2, 1.0], [-0.1, 0.5], [0.2, np.nan]):
-            with pytest.raises(DomainError):
-                TrajectoryConfig(spec2, 10, initial_state=np.array(x0))
 
     def test_ensemble_shape_and_determinism(self, spec2):
         e1 = simulate_ensemble(spec2, 4, 200, seed=8, burn_in=50)
@@ -165,7 +153,7 @@ class TestSimulate:
         assert not np.array_equal(e1[:, 0, :], e1[:, 1, :])
 
     def test_export_round_trips_doubles(self, spec2, tmp_path):
-        traj = simulate(TrajectoryConfig(spec2, 20, seed=1))
+        traj = simulate(spec2, 20, seed=1)
         path = tmp_path / "t.csv"
         export_trajectory_csv(traj, path)
         back = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
@@ -229,6 +217,18 @@ def ref_density(spec, realizations, iterations, bins, seed, noise, burn_in):
         np.add.at(counts, idx @ strides, 1)
         states = ref_step_noisy(states, spec, noise, rng)
     return counts.reshape((bins,) * spec.n)
+
+
+def kernel_orbit(spec, states, length, burn_in, draw=None):
+    """The (length, R, n) orbit of the (R, n) ``states`` under the lock-step
+    kernel's time loop, with the kicks ``draw(steps)`` returns."""
+    update = lattice._lattice_update(spec.local_map,
+                                     *lattice._mix_weights(spec),
+                                     [states.shape])
+    out = np.empty((length, states.size))
+    lattice._advance(update, states.reshape(-1), burn_in, draw, out,
+                     states.size)
+    return out.reshape((length,) + states.shape)
 
 
 def same_bits(a, b) -> bool:
@@ -304,8 +304,7 @@ class TestKernelOracle:
         rng = _rng_for(seed)
         expect = ref_orbit(spec, rng.uniform(0.0, 1.0, size=n), length,
                            NoiseSpec(eps), rng, burn_in)
-        got = simulate(TrajectoryConfig(spec, length, NoiseSpec(eps),
-                                        burn_in=burn_in, seed=seed))
+        got = simulate(spec, length, NoiseSpec(eps), burn_in, seed)
         assert same_bits(got, expect)
 
     @settings(max_examples=60, deadline=None)
@@ -326,11 +325,12 @@ class TestKernelOracle:
         spec = MapSpec(local_map, n, gamma)
         vals = boundary_values(local_map)
         x0 = np.array(data.draw(st.lists(st.sampled_from(vals), min_size=n,
-                                         max_size=n)))
+                                         max_size=n))).reshape(1, n)
         expect = ref_orbit(spec, x0, 60, NoiseSpec(eps), _rng_for(3), 0)
-        got = simulate(TrajectoryConfig(spec, 60, NoiseSpec(eps),
-                                        initial_state=x0, seed=3))
-        assert same_bits(got, expect)
+        rng = _rng_for(3)
+        draw = None if eps == 0.0 else (
+            lambda steps: eps * rng.uniform(-0.5, 0.5, size=(steps, n)))
+        assert same_bits(kernel_orbit(spec, x0, 60, 0, draw), expect)
 
     def test_step_on_every_boundary_grid(self):
         for slope in range(2, 10):
@@ -371,7 +371,8 @@ class TestKernelOracle:
         got = step_noisy(x, spec2, noise, TinyKicks())
         assert same_bits(got, ref_step_noisy(x, spec2, noise, TinyKicks()))
         assert np.all(got == 0.0)
-        orbit = _orbit(spec2, x, 5, noise, TinyKicks(), burn_in=2)
+        orbit = kernel_orbit(spec2, x, 5, 2, lambda steps: noise.epsilon
+                             * TinyKicks().uniform(-0.5, 0.5, (steps, 4)))
         assert same_bits(orbit, ref_orbit(spec2, x, 5, noise, TinyKicks(), 2))
         assert np.all(orbit == 0.0)
 
@@ -571,3 +572,13 @@ class TestLockstepPass:
         with pytest.raises(DomainError):
             lockstep_gaps(tripling, [GridPoint(1, 0.1, 0.0, 0, 1)], 10, 0,
                           SPREAD)
+        # no realizations, alone, next to a good point, or fewer than none
+        for points in ([GridPoint(2, 0.1, 0.0, 0, 0)],
+                       [GridPoint(2, 0.1, 0.0, 0, 3),
+                        GridPoint(3, 0.1, 1e-2, 1, 0)],
+                       [GridPoint(2, 0.1, 0.0, 0, -2)]):
+            with pytest.raises(DomainError, match="realization"):
+                lockstep_gaps(tripling, points, 10, 0, SPREAD)
+        for r in (0, -1):
+            with pytest.raises(DomainError, match="realization"):
+                simulate_ensemble(MapSpec(tripling, 2, 0.1), r, 10, 0)
