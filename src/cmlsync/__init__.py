@@ -35,12 +35,7 @@ from .observables import (
     running_maximum,
     threshold_from_quantile,
 )
-from .theory import (
-    TheoryInputs,
-    ei_sync_flat_asymptotic,
-    ei_sync_formula,
-    iterations_for_sync,
-)
+from .theory import ei_sync_flat_asymptotic, ei_sync_formula, iterations_for_sync
 from .ulam import UlamOperator, build_ulam, ei_spectral, invariant_density_ulam
 
 __all__ = [
@@ -51,8 +46,7 @@ __all__ = [
     "threshold_from_quantile",
     "EvtFitResult", "EiEstimate", "fit_gev_mle", "fit_gpd_mle",
     "suveges_ei", "qk_return_estimator", "poisson_pmf", "compound_poisson_pmf",
-    "TheoryInputs", "ei_sync_formula", "ei_sync_flat_asymptotic",
-    "iterations_for_sync",
+    "ei_sync_formula", "ei_sync_flat_asymptotic", "iterations_for_sync",
     "DensityHistogram", "DiagonalTrace", "estimate_density", "diagonal_trace",
     "UlamOperator", "build_ulam", "invariant_density_ulam", "ei_spectral",
     "ExperimentConfig", "run_ei_sweep", "reproduce",

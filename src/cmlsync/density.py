@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MemoryBudgetError
+from .errors import DomainError
 # step_noisy stays importable here: bench/tracing.py wraps density.step_noisy
 from .lattice import (  # noqa: F401
-    GridPoint, MapSpec, NoiseSpec, lockstep_gaps, step_noisy)
-
-_MAX_CELLS = 200_000_000  # int64 counts, ~1.6 GB
+    GridPoint, MapSpec, NoiseSpec, _check_budget, _check_points, _pass_bytes,
+    lockstep_gaps, step_noisy)
 
 
 @dataclass
@@ -42,7 +41,6 @@ class DiagonalTrace:
 
     grid: np.ndarray  # uniform grid of x values (bin centers)
     values: np.ndarray
-    band_width: float  # tube half-width
 
     def as_function(self):
         """Piecewise-linear interpolant usable as a density trace."""
@@ -64,14 +62,20 @@ def estimate_density(
     One `lockstep_gaps` pass advances all realizations, with the start
     states and kicks of `simulate_ensemble` at ``seed``, and folds each
     chunk of the orbit into the counts in place, so the counts are the
-    one histogram-sized array it holds.  Its ``gap`` maps a state to the
-    flat index of its cell, below `_MAX_CELLS` and so exact in float64.
+    one histogram-sized array it holds.  The counts and the folded pass
+    together must fit `lattice._MAX_ENSEMBLE_BYTES`, which is checked
+    before anything is allocated.  The pass's ``gap`` maps a state to the
+    flat index of its cell, which that budget keeps far below 2^53, so it
+    is exact in float64.
     """
     n = spec.n
     if n not in (2, 3):
         raise DomainError("density estimation supports n = 2 or 3 only")
-    if bins**n > _MAX_CELLS:
-        raise MemoryBudgetError(f"{bins}^{n} cells exceed the memory budget")
+    point = GridPoint(n, spec.gamma, noise.epsilon, seed, realizations)
+    _check_points(spec.local_map, [point], iterations_each, burn_in)
+    _check_budget(8 * bins**n + _pass_bytes([point], iterations_each, True),
+                  f"histogram of {bins}^{n} cells over {realizations} "
+                  f"realizations")
     counts = np.zeros(bins**n, dtype=np.int64)
     strides = bins ** np.arange(n - 1, -1, -1)
 
@@ -82,7 +86,6 @@ def estimate_density(
         # in place: a bincount of counts.size would double the histogram
         np.add.at(counts, codes.ravel().astype(np.int64), 1)
 
-    point = GridPoint(n, spec.gamma, noise.epsilon, seed, realizations)
     lockstep_gaps(spec.local_map, [point], iterations_each, burn_in, cells,
                   fold)
     return DensityHistogram(
@@ -116,7 +119,7 @@ def diagonal_trace(hist: DensityHistogram, band: float | None = None) -> Diagona
         if block.size == 0:
             raise DomainError("empty diagonal tube")
         values[i] = float(np.mean(block))
-    return DiagonalTrace(grid=centers, values=values, band_width=band)
+    return DiagonalTrace(grid=centers, values=values)
 
 
 def export_density_csv(hist: DensityHistogram, path) -> None:

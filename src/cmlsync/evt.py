@@ -30,6 +30,7 @@ _NEWTON_MAXITER = 100
 _NEWTON_XTOL = 1e-10  # Newton step, in the solver's O(1) units
 _FD_STEP = 1e-7       # forward-difference step of the GEV Hessian
 _GPD_LAM_MAX = 700.0  # log1p(t max z) stays below exp overflow
+_MIN_SAMPLES = 30     # finite maxima of a GEV fit, positive excesses of a GPD fit
 
 
 @dataclass
@@ -68,7 +69,6 @@ class ClusterStats:
 
     exceedance_count: int
     cluster_count: int
-    cluster_sizes: list[int]
     waiting_times: np.ndarray
 
 
@@ -77,8 +77,7 @@ class EiEstimate:
     """An extremal-index value with its provenance."""
 
     theta: float
-    method: str  # suveges | return_time_qk | theoretical_formula | spectral_ulam
-    uncertainty: float | None = None
+    method: str  # suveges | return_time_qk | spectral_ulam
     flag: str | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -88,8 +87,6 @@ class EiEstimate:
 
     def to_json_dict(self) -> dict:
         out = {"method": self.method, "theta": self.theta}
-        if self.uncertainty is not None:
-            out["uncertainty"] = self.uncertainty
         if self.flag is not None:
             out["flag"] = self.flag
         out.update(self.metadata)
@@ -270,7 +267,7 @@ def _gev_newton(x: np.ndarray, f: np.ndarray, y: np.ndarray
     return x, f, errors
 
 
-def fit_gev_rows(maxima, min_samples: int = 30) -> tuple[list, list]:
+def fit_gev_rows(maxima) -> tuple[list, list]:
     """`fit_gev_mle` of every row of ``maxima`` (R, blocks) at once.
 
     Returns (fits, errors): row r's `EvtFitResult` and None, or None and
@@ -282,10 +279,10 @@ def fit_gev_rows(maxima, min_samples: int = 30) -> tuple[list, list]:
     finite = np.isfinite(maxima)
     counts = np.count_nonzero(finite, axis=1)
     fits, errors = [None] * len(maxima), [None] * len(maxima)
-    for r in np.flatnonzero(counts < min_samples):
-        errors[r] = FitError(f"need at least {min_samples} finite samples, "
+    for r in np.flatnonzero(counts < _MIN_SAMPLES):
+        errors[r] = FitError(f"need at least {_MIN_SAMPLES} finite samples, "
                              f"got {counts[r]}")
-    for m in np.unique(counts[counts >= min_samples]):
+    for m in np.unique(counts[counts >= _MIN_SAMPLES]):
         rows = np.flatnonzero(counts == m)
         y = maxima[rows]
         if m < maxima.shape[1]:
@@ -329,13 +326,12 @@ def _gev_fit(y: np.ndarray) -> tuple[list, list]:
     return fits, errors
 
 
-def fit_gev_mle(block_maxima, min_samples: int = 30) -> EvtFitResult:
+def fit_gev_mle(block_maxima) -> EvtFitResult:
     """GEV fit by maximum likelihood: damped Newton steps on the analytic
     score (`_gev_newton`) from the probability-weighted-moments start.  The
     one-row case of `fit_gev_rows`."""
     (fit,), (error,) = fit_gev_rows(
-        np.reshape(np.asarray(block_maxima, dtype=float), (1, -1)),
-        min_samples)
+        np.reshape(np.asarray(block_maxima, dtype=float), (1, -1)))
     if error is not None:
         raise error
     return fit
@@ -392,8 +388,7 @@ def _gpd_profile(lam: np.ndarray, w: np.ndarray, top: int, rows: np.ndarray
     return xi, s
 
 
-def fit_gpd_rows(values, counts, thresholds, min_samples: int = 30
-                 ) -> tuple[list, list]:
+def fit_gpd_rows(values, counts, thresholds) -> tuple[list, list]:
     """`fit_gpd_mle` of R samples at once: row r's exceedances are the next
     ``counts[r]`` entries of the flat ``values``, over ``thresholds[r]``.
 
@@ -418,9 +413,9 @@ def fit_gpd_rows(values, counts, thresholds, min_samples: int = 30
                                     "threshold")
         z, sizes = z[keep], np.bincount(row_of[keep], minlength=counts.size)
     starts = np.cumsum(sizes) - sizes
-    for r in np.flatnonzero(sizes < min_samples):
+    for r in np.flatnonzero(sizes < _MIN_SAMPLES):
         if errors[r] is None:
-            errors[r] = FitError(f"need at least {min_samples} positive "
+            errors[r] = FitError(f"need at least {_MIN_SAMPLES} positive "
                                  f"excesses, got {sizes[r]}")
     todo = np.array([e is None for e in errors], dtype=bool)
     for m in np.unique(sizes[todo]):
@@ -514,8 +509,7 @@ def _gpd_search(z, mean, var, z_max, top: int) -> tuple[list, list]:
     return fits, errors
 
 
-def fit_gpd_mle(values, threshold: float | None = None,
-                min_samples: int = 30) -> EvtFitResult:
+def fit_gpd_mle(values, threshold: float | None = None) -> EvtFitResult:
     """GPD fit on excesses over a threshold, by a bounded 1-D search.
 
     ``values`` are exceedances; if ``threshold`` is None they are taken to be
@@ -530,8 +524,7 @@ def fit_gpd_mle(values, threshold: float | None = None,
     """
     values = np.ravel(np.asarray(values, dtype=float))
     (fit,), (error,) = fit_gpd_rows(
-        values, [values.size], [0.0 if threshold is None else float(threshold)],
-        min_samples)
+        values, [values.size], [0.0 if threshold is None else float(threshold)])
     if error is not None:
         raise error
     return fit
@@ -542,28 +535,17 @@ def fit_gpd_mle(values, threshold: float | None = None,
 # ---------------------------------------------------------------------------
 
 def extract_clusters(indicator) -> ClusterStats:
-    """Run-based declustering: clusters are maximal runs of >= 2 exceedances."""
+    """Run-based declustering: clusters are maximal runs of >= 2 exceedances,
+    so each is a run of waiting times equal to 1."""
     ind = np.asarray(indicator, dtype=bool)
     if ind.size == 0:
         raise DegenerateSeriesError("empty indicator series")
     positions = np.flatnonzero(ind)
-    n_exc = positions.size
-    if n_exc == 0:
-        return ClusterStats(0, 0, [], np.empty(0, dtype=int))
     waiting = np.diff(positions)
-    # run lengths of consecutive exceedances
-    sizes = []
-    run = 1
-    for gap in waiting:
-        if gap == 1:
-            run += 1
-        else:
-            if run >= 2:
-                sizes.append(run)
-            run = 1
-    if run >= 2:
-        sizes.append(run)
-    return ClusterStats(n_exc, len(sizes), sizes, waiting)
+    ones = waiting == 1
+    # a run of ones starts at the first gap or where a one follows a larger gap
+    clusters = int(ones[:1].sum()) + np.count_nonzero(ones[1:] > ones[:-1])
+    return ClusterStats(positions.size, clusters, waiting)
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:

@@ -604,50 +604,25 @@ def run_density_figures(
 # Figure reproduction with manifests
 # ---------------------------------------------------------------------------
 
-FIGURE_IDS = ("dens1", "dens", "d32", "CLM_t", "CLM", "CLM_csi",
-              "global_Poisson", "local_Poisson")
-
-
-def _figure_config(figure_id: str, seed: int) -> ExperimentConfig:
-    gammas = tuple(round(0.1 * i, 1) for i in range(7))
-    base = dict(seed=seed)
-    if figure_id == "d32":
-        return ExperimentConfig(n_values=(2, 3), gamma_values=gammas, **base)
-    if figure_id == "CLM_t":
-        return ExperimentConfig(
-            n_values=tuple(range(3, 24)), gamma_values=gammas,
-            realizations=3, **base,
-        )
-    if figure_id == "CLM":
-        return ExperimentConfig(
-            n_values=tuple(range(3, 24, 2)), gamma_values=gammas,
-            epsilons=(0.0, 1e-4, 1e-2), observable="pair_sync",
-            realizations=3, **base,
-        )
-    if figure_id == "CLM_csi":
-        return ExperimentConfig(
-            n_values=(3, 5, 7, 10), gamma_values=(0.0, 0.2, 0.4),
-            realizations=5, **base,
-        )
-    if figure_id == "global_Poisson":
-        return ExperimentConfig(
-            n_values=(4,), gamma_values=(0.3,), epsilons=(0.0, 1e-2), **base,
-        )
-    if figure_id == "local_Poisson":
-        return ExperimentConfig(
-            n_values=(6,), gamma_values=(0.3,), epsilons=(0.0, 1e-2),
-            observable="pair_sync", **base,
-        )
-    if figure_id == "dens1":
-        return ExperimentConfig(
-            n_values=(2,), gamma_values=(0.3, 0.5, 0.6), **base,
-        )
-    if figure_id == "dens":
-        return ExperimentConfig(
-            n_values=(3,), gamma_values=(0.3, 0.5), **base,
-        )
-    raise ConfigError(f"unknown figure id {figure_id!r}; "
-                      f"expected one of {FIGURE_IDS}")
+_GAMMAS = tuple(round(0.1 * i, 1) for i in range(7))
+# figure id: the ExperimentConfig keys of its runs, next to the seed
+_FIGURES = {
+    "dens1": dict(n_values=(2,), gamma_values=(0.3, 0.5, 0.6)),
+    "dens": dict(n_values=(3,), gamma_values=(0.3, 0.5)),
+    "d32": dict(n_values=(2, 3), gamma_values=_GAMMAS),
+    "CLM_t": dict(n_values=tuple(range(3, 24)), gamma_values=_GAMMAS,
+                  realizations=3),
+    "CLM": dict(n_values=tuple(range(3, 24, 2)), gamma_values=_GAMMAS,
+                epsilons=(0.0, 1e-4, 1e-2), observable="pair_sync",
+                realizations=3),
+    "CLM_csi": dict(n_values=(3, 5, 7, 10), gamma_values=(0.0, 0.2, 0.4),
+                    realizations=5),
+    "global_Poisson": dict(n_values=(4,), gamma_values=(0.3,),
+                           epsilons=(0.0, 1e-2)),
+    "local_Poisson": dict(n_values=(6,), gamma_values=(0.3,),
+                          epsilons=(0.0, 1e-2), observable="pair_sync"),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def reproduce(figure_id: str, out_dir: str, seed: int = 0) -> dict:
@@ -656,7 +631,10 @@ def reproduce(figure_id: str, out_dir: str, seed: int = 0) -> dict:
     Re-running with the manifest's figure id and seed regenerates every file
     byte-for-byte.
     """
-    config = _figure_config(figure_id, seed)
+    if figure_id not in _FIGURES:
+        raise ConfigError(f"unknown figure id {figure_id!r}; "
+                          f"expected one of {FIGURE_IDS}")
+    config = ExperimentConfig(seed=seed, **_FIGURES[figure_id])
     make_output_dir(out_dir)
     outputs: list[str] = []
     extra: dict = {}

@@ -92,9 +92,9 @@ class Observable:
         if self.ei_sites is None:
             return None, None
         m = self.ei_sites(n)
-        inputs = theory.TheoryInputs(n=m, gamma=gamma, lam=local_map.expansion_bound)
-        return (theory.ei_sync_formula(inputs, local_map),
-                theory.ei_sync_flat_asymptotic(m, gamma, inputs.lam))
+        return (theory.ei_sync_formula(m, gamma, local_map),
+                theory.ei_sync_flat_asymptotic(m, gamma,
+                                               local_map.expansion_bound))
 
 
 OBSERVABLES = {

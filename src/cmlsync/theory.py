@@ -16,21 +16,12 @@ import numpy as np
 from .errors import DomainError, HypothesisViolationError
 from .lattice import LocalMap
 
+_GRID_SIZE = 10_000  # midpoint nodes per unit length of a branch
 
-@dataclass
-class TheoryInputs:
-    """Parameters feeding the closed-form extremal-index formulas."""
 
-    n: int
-    gamma: float
-    lam: float  # expansion bound of the local map
-    density_trace: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def check_hypothesis(self) -> None:
-        if self.gamma >= 1.0 - self.lam:
-            raise HypothesisViolationError(
-                f"gamma={self.gamma} >= 1 - lambda={1.0 - self.lam}"
-            )
+def _check_hypothesis(gamma: float, lam: float) -> None:
+    if gamma >= 1.0 - lam:
+        raise HypothesisViolationError(f"gamma={gamma} >= 1 - lambda={1.0 - lam}")
 
 
 @dataclass
@@ -41,7 +32,7 @@ class SyncIterations:
     m: int | None  # exact integer when it fits in a double exactly
 
 
-def branch_aligned_midpoints(local_map: LocalMap, grid_size: int = 10_000):
+def branch_aligned_midpoints(local_map: LocalMap):
     """Midpoint quadrature nodes and weights aligned with branch boundaries.
 
     The integrands below jump at branch boundaries of T, so each branch gets
@@ -51,7 +42,7 @@ def branch_aligned_midpoints(local_map: LocalMap, grid_size: int = 10_000):
     nodes = []
     weights = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        m = max(2, int(round(grid_size * (b - a))))
+        m = max(2, int(round(_GRID_SIZE * (b - a))))
         h = (b - a) / m
         nodes.append(a + h * (np.arange(m) + 0.5))
         weights.append(np.full(m, h))
@@ -59,40 +50,42 @@ def branch_aligned_midpoints(local_map: LocalMap, grid_size: int = 10_000):
 
 
 def ei_sync_formula(
-    inputs: TheoryInputs,
+    n: int,
+    gamma: float,
     local_map: LocalMap,
-    grid_size: int = 10_000,
+    density_trace: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Extremal index of global synchronization from the density trace:
 
         theta_n = 1 - (1-gamma)^{1-n}
                   * int trace(x)/|T'(x)|^{n-1} dx / int trace(x) dx
 
-    ``inputs.density_trace`` maps grid points to the invariant density
-    evaluated on the diagonal; None means a flat trace (x -> 1), the exact
-    choice for the uncoupled reference map and a good proxy when the
-    invariant measure stays close to Lebesgue.
+    ``density_trace`` maps grid points to the invariant density evaluated
+    on the diagonal; None means a flat trace (x -> 1), the exact choice for
+    the uncoupled reference map and a good proxy when the invariant measure
+    stays close to Lebesgue.  Raises `HypothesisViolationError` unless
+    gamma < 1 - lambda, lambda the map's `LocalMap.expansion_bound`.
     """
-    inputs.check_hypothesis()
-    x, w = branch_aligned_midpoints(local_map, grid_size)
-    if inputs.density_trace is None:
+    _check_hypothesis(gamma, local_map.expansion_bound)
+    x, w = branch_aligned_midpoints(local_map)
+    if density_trace is None:
         trace = np.ones_like(x)
     else:
-        trace = np.asarray(inputs.density_trace(x), dtype=float)
+        trace = np.asarray(density_trace(x), dtype=float)
     if np.any(trace < 0.0) or not np.all(np.isfinite(trace)):
         raise DomainError("density trace must be finite and nonnegative")
     denom = float(np.sum(w * trace))
     if denom <= 0.0:
         raise DomainError("density trace integrates to zero")
     slope = np.abs(local_map.derivative(x))
-    numer = float(np.sum(w * trace / slope ** (inputs.n - 1)))
-    theta = 1.0 - numer / denom / (1.0 - inputs.gamma) ** (inputs.n - 1)
+    numer = float(np.sum(w * trace / slope ** (n - 1)))
+    theta = 1.0 - numer / denom / (1.0 - gamma) ** (n - 1)
     return min(max(theta, 0.0), 1.0)
 
 
 def ei_sync_flat_asymptotic(n: int, gamma: float, lam: float) -> float:
     """Large-n flat-trace approximation: 1 - (lambda/(1-gamma))^{n-1}."""
-    TheoryInputs(n=n, gamma=gamma, lam=lam).check_hypothesis()
+    _check_hypothesis(gamma, lam)
     return 1.0 - (lam / (1.0 - gamma)) ** (n - 1)
 
 
@@ -105,7 +98,7 @@ def ei_upper_bound_q0(
     """
     if inf_h <= 0.0:
         raise DomainError("inf_h must be positive")
-    TheoryInputs(n=n, gamma=gamma, lam=lam).check_hypothesis()
+    _check_hypothesis(gamma, lam)
     bound = (lam / (1.0 - gamma)) ** (n - 1) * sup_h / inf_h
     return bound, bound <= 1.0
 
@@ -168,7 +161,7 @@ def theory_table(n_values, gamma_values, local_map: LocalMap) -> list[tuple]:
     lam = local_map.expansion_bound
     return [
         (n, g,
-         ei_sync_formula(TheoryInputs(n=n, gamma=g, lam=lam), local_map),
+         ei_sync_formula(n, g, local_map),
          ei_sync_flat_asymptotic(n, g, lam),
          ei_upper_bound_q0(n, g, lam, 1.0, 1.0)[0])
         for n in n_values for g in gamma_values

@@ -41,6 +41,9 @@ from .lattice import (  # noqa: F401
 
 _MAX_BINS = 2000
 _CHUNK_PAIRS = 1 << 14  # sample pairs per build chunk: bounds its temporaries
+_MAX_SWEEPS = 100_000  # power-iteration sweeps before ConvergenceError
+_TOL = 1e-10  # l1 change of the probability vector between sweeps
+_RHO_TOL = 1e-12  # change of the open operator's mass-loss ratio
 
 
 @dataclass
@@ -182,12 +185,7 @@ def _start(op: UlamOperator, start: np.ndarray | None) -> np.ndarray:
     return v / v.sum()
 
 
-def invariant_density_ulam(
-    op: UlamOperator,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    start: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
+def invariant_density_ulam(op: UlamOperator) -> tuple[np.ndarray, int]:
     """Leading left eigenvector by power iteration, normalized to sum 1,
     and the number of sweeps it took.
 
@@ -195,11 +193,11 @@ def invariant_density_ulam(
     masses; divide by the orbit's volume (2/k^2 off the diagonal, 1/k^2 on
     it) for a density per unit volume.
     """
-    v = _start(op, start)
-    for sweeps in range(1, max_iter + 1):
+    v = _start(op, None)
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         w = op.transposed @ v
         w /= w.sum()  # row-stochastic: guards rounding drift only
-        if float(np.abs(w - v).sum()) < tol:
+        if float(np.abs(w - v).sum()) < _TOL:
             return w, sweeps
         v = w
     raise ConvergenceError("power iteration for the invariant density stalled")
@@ -218,10 +216,7 @@ def make_perturbed(op: UlamOperator, nu: float) -> PerturbedOperator:
 
 
 def perturbed_leading_eigenvalue(
-    pert: PerturbedOperator,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    start: np.ndarray | None = None,
+    pert: PerturbedOperator, start: np.ndarray | None = None
 ) -> tuple[float, int]:
     """Leading eigenvalue of the open operator v -> (v restricted to D) P,
     and the number of sweeps it took.
@@ -234,13 +229,13 @@ def perturbed_leading_eigenvalue(
     mask[pert.hole_cells] = 0.0
     v = _start(op, start)
     rho = 0.0
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         w = op.transposed @ (v * mask)
         total = float(w.sum())
         if total == 0.0:
             return 0.0, sweeps
         w /= total
-        if abs(total - rho) < tol and float(np.abs(w - v).sum()) < 1e-10:
+        if abs(total - rho) < _RHO_TOL and float(np.abs(w - v).sum()) < _TOL:
             return total, sweeps
         rho, v = total, w
     raise ConvergenceError("power iteration for the open operator stalled")

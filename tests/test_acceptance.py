@@ -35,7 +35,7 @@ from cmlsync.observables import (
     running_maximum,
     threshold_from_quantile,
 )
-from cmlsync.theory import TheoryInputs, ei_sync_formula, iterations_for_sync
+from cmlsync.theory import ei_sync_formula, iterations_for_sync
 from cmlsync.ulam import build_ulam, ei_spectral
 
 SEED = 2026
@@ -231,10 +231,7 @@ def test_09_spectral_empirical_theory_consistency(report):
             seed=_point_seed(SEED, 9, int(round(gamma * 10))),
         )
         trace = diagonal_trace(hist).as_function()
-        formula = ei_sync_formula(
-            TheoryInputs(n=2, gamma=gamma, lam=1 / 3, density_trace=trace),
-            TRIPLING,
-        )
+        formula = ei_sync_formula(2, gamma, TRIPLING, trace)
         triple = (spectral, formula, empirical[2, gamma, 0.0])
         worst = max(worst, max(triple) - min(triple))
     report(9, "spectral / formula / empirical EI agreement", worst <= 0.07,

@@ -61,6 +61,17 @@ class TestEstimateDensity:
         with pytest.raises(MemoryBudgetError):  # 2 x 16 GB of states
             estimate_density(MapSpec(tripling, 2, 0.1), 10**9, 10, 10, seed=0)
 
+    def test_budget_counts_histogram_and_pass_together(self, tripling,
+                                                       monkeypatch):
+        # 300^2 int64 counts are 720 kB and the folded pass 727 kB: each
+        # fits a 1 MB budget alone, but not both
+        point = lattice.GridPoint(2, 0.3, 0.0, 0, 50)
+        assert 8 * 300**2 < 1_000_000
+        assert lattice._pass_bytes([point], 200, True) < 1_000_000
+        monkeypatch.setattr(lattice, "_MAX_ENSEMBLE_BYTES", 1_000_000)
+        with pytest.raises(MemoryBudgetError, match="histogram"):
+            estimate_density(MapSpec(tripling, 2, 0.3), 50, 200, 300, seed=0)
+
     def test_fold_holds_one_histogram(self, tripling):
         # 1200^2 int64 counts are 11.5 MB; the pass itself holds under 2 MB
         spec = MapSpec(tripling, 2, 0.3)
@@ -127,13 +138,11 @@ class TestDiagonalTrace:
 
     def test_trace_feeds_formula(self, hist_flat, tripling):
         # A near-flat estimated trace should reproduce the flat closed form.
-        from cmlsync.theory import TheoryInputs, ei_sync_formula
+        from cmlsync.theory import ei_sync_formula
 
         f = diagonal_trace(hist_flat).as_function()
-        with_trace = ei_sync_formula(
-            TheoryInputs(n=2, gamma=0.0, lam=1 / 3, density_trace=f), tripling
-        )
-        flat = ei_sync_formula(TheoryInputs(n=2, gamma=0.0, lam=1 / 3), tripling)
+        with_trace = ei_sync_formula(2, 0.0, tripling, f)
+        flat = ei_sync_formula(2, 0.0, tripling)
         assert with_trace == pytest.approx(flat, abs=0.01)
 
 

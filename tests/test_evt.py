@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
@@ -391,13 +391,41 @@ class TestRowBatches:
                 est.metadata["visits"])
 
 
+def clusters_by_loop(indicator) -> int:
+    """Maximal runs of >= 2 consecutive exceedances, counted gap by gap."""
+    waiting = np.diff(np.flatnonzero(indicator))
+    count, run = 0, 1
+    for gap in waiting:
+        if gap == 1:
+            run += 1
+        else:
+            if run >= 2:
+                count += 1
+            run = 1
+    if run >= 2:
+        count += 1
+    return count
+
+
 class TestClusters:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=60))
+    # no exceedance, all exceedances, and runs at either end
+    @example([False] * 4)
+    @example([True])
+    @example([True] * 4)
+    @example([True, True, False, True])
+    @example([True, False, True, True])
+    @example([False, True, True, False, True, False, True])
+    def test_count_matches_run_loop(self, marks):
+        ind = np.array(marks, dtype=bool)
+        assert extract_clusters(ind).cluster_count == clusters_by_loop(ind)
+
     def test_hand_case(self):
         ind = np.array([0, 1, 1, 0, 1, 0, 1, 1, 1, 0], dtype=bool)
         stats_ = extract_clusters(ind)
         assert stats_.exceedance_count == 6
         assert stats_.cluster_count == 2
-        assert sorted(stats_.cluster_sizes) == [2, 3]
         assert list(stats_.waiting_times) == [1, 2, 2, 1, 1]
 
     def test_epdf_normalization_hand_value(self):

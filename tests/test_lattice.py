@@ -51,6 +51,19 @@ class TestLocalMap:
         with pytest.raises(DomainError):
             LocalMap.affine_mod1(1)
 
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_expansion_bound_is_inverse_slope(self, s):
+        assert LocalMap.affine_mod1(s).expansion_bound.hex() == (1.0 / s).hex()
+
+    def test_expansion_bound_of_uneven_map(self):
+        assert UNEVEN.expansion_bound == 0.4  # 1 / min(2.5, 4.0)
+
+    @pytest.mark.parametrize("slopes", [(2.0, 1.0), (-1.0, 3.0), (0.5, 2.0),
+                                        (0.0, 2.0)])
+    def test_rejects_branch_without_expansion(self, slopes):
+        with pytest.raises(DomainError):
+            LocalMap((0.0, 0.5, 1.0), slopes, (0.0, 0.5))
+
     def test_rejects_out_of_range_argument(self, tripling):
         for x in (-0.1, 1.0, np.nan, np.array([0.5, np.nan])):
             with pytest.raises(DomainError):
@@ -237,7 +250,7 @@ def same_bits(a, b) -> bool:
 
 
 # A piecewise-affine map that is not full-branch: the kernel's branch lookup.
-UNEVEN = LocalMap((0.0, 0.4, 1.0), (2.5, 4.0), (0.0, 0.3), 0.4)
+UNEVEN = LocalMap((0.0, 0.4, 1.0), (2.5, 4.0), (0.0, 0.3))
 
 slopes = st.integers(2, 9)
 sizes = st.integers(2, 23)

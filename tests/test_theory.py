@@ -8,7 +8,6 @@ from cmlsync.errors import DomainError, HypothesisViolationError
 from cmlsync.lattice import LocalMap
 from cmlsync.theory import (
     SyncIterations,
-    TheoryInputs,
     ei_sync_flat_asymptotic,
     ei_sync_formula,
     ei_upper_bound_q0,
@@ -29,39 +28,44 @@ class TestSyncFormula:
         # theta_n = 1 - (3(1-gamma))^{1-n}.
         for n in (2, 3, 5):
             for gamma in (0.0, 0.1, 0.3, 0.5):
-                got = ei_sync_formula(TheoryInputs(n=n, gamma=gamma, lam=1 / 3), tripling)
+                got = ei_sync_formula(n, gamma, tripling)
                 expected = 1.0 - (3.0 * (1.0 - gamma)) ** (1 - n)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_trace_independent_for_constant_slope(self, tripling):
         # Any positive trace gives the same answer when |T'| is constant.
-        inputs = TheoryInputs(
-            n=3, gamma=0.2, lam=1 / 3, density_trace=lambda x: 1.0 + 0.5 * np.sin(7 * x)
-        )
-        flat = ei_sync_formula(TheoryInputs(n=3, gamma=0.2, lam=1 / 3), tripling)
-        assert ei_sync_formula(inputs, tripling) == pytest.approx(flat, abs=1e-12)
+        flat = ei_sync_formula(3, 0.2, tripling)
+        wavy = ei_sync_formula(3, 0.2, tripling, lambda x: 1.0 + 0.5 * np.sin(7 * x))
+        assert wavy == pytest.approx(flat, abs=1e-12)
 
     def test_known_value(self, tripling):
         # theta_3 at gamma = 0.1: 1 - (2.7)^{-2} = 0.86282578875...
-        got = ei_sync_formula(TheoryInputs(n=3, gamma=0.1, lam=1 / 3), tripling)
+        got = ei_sync_formula(3, 0.1, tripling)
         assert got == pytest.approx(0.8628257887517147, abs=1e-10)
 
     def test_hypothesis_violation(self, tripling):
         with pytest.raises(HypothesisViolationError):
-            ei_sync_formula(TheoryInputs(n=2, gamma=0.7, lam=1 / 3), tripling)
+            ei_sync_formula(2, 0.7, tripling)
         with pytest.raises(HypothesisViolationError):
             ei_sync_flat_asymptotic(2, 0.67, 1 / 3)
 
+    def test_hypothesis_reads_lambda_from_map(self):
+        # the skew map of test_ulam: min |T'| = 2.5, so lambda = 0.4
+        skew = LocalMap((0.0, 0.35, 1.0), (3.0, -2.5), (0.2, 0.9))
+        assert skew.expansion_bound == 0.4
+        assert 0.0 < ei_sync_formula(2, 0.59, skew) < 1.0
+        with pytest.raises(HypothesisViolationError):
+            ei_sync_formula(2, 0.61, skew)
+
     def test_negative_trace_rejected(self, tripling):
-        inputs = TheoryInputs(n=2, gamma=0.1, lam=1 / 3, density_trace=lambda x: -x)
         with pytest.raises(DomainError):
-            ei_sync_formula(inputs, tripling)
+            ei_sync_formula(2, 0.1, tripling, lambda x: -x)
 
     def test_asymptotic_matches_flat_for_tripling(self, tripling):
         # For the tripling map lam = 1/3 is exact, so the asymptotic form
         # coincides with the flat-trace formula at every n.
         for n in (2, 4, 8):
-            flat = ei_sync_formula(TheoryInputs(n=n, gamma=0.25, lam=1 / 3), tripling)
+            flat = ei_sync_formula(n, 0.25, tripling)
             assert ei_sync_flat_asymptotic(n, 0.25, 1 / 3) == pytest.approx(flat, abs=1e-12)
 
 

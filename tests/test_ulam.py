@@ -81,7 +81,7 @@ def same_csr(a, b) -> bool:
 
 # Not full-branch: uneven branches, one of them decreasing, so cells straddle
 # wraps where no k lines up with them.
-SKEW = LocalMap((0.0, 0.35, 1.0), (3.0, -2.5), (0.2, 0.9), 0.4)
+SKEW = LocalMap((0.0, 0.35, 1.0), (3.0, -2.5), (0.2, 0.9))
 LOCAL_MAPS = st.one_of(st.integers(2, 5).map(LocalMap.affine_mod1),
                        st.just(SKEW))
 BINS = st.integers(1, 40)
@@ -138,6 +138,9 @@ def op_coupled(tripling):
 
 
 class TestBuild:
+    def test_skew_expansion_bound(self):
+        assert SKEW.expansion_bound == 0.4  # 1 / min(|3.0|, |-2.5|)
+
     def test_row_stochastic(self, op_uncoupled, op_coupled):
         for op in (op_uncoupled, op_coupled):
             sums = np.asarray(op.matrix.sum(axis=1)).ravel()
@@ -316,7 +319,7 @@ class TestEiSpectral:
     def test_benchmark_ladder(self, tripling):
         # k = 300, gamma = 0.3 and the ladder of the spectral-density
         # benchmark: theta_kl as measured for ROADMAP item 3, and every power
-        # iteration converges far below its max_iter cap.
+        # iteration converges far below its `_MAX_SWEEPS` cap.
         op = build_ulam(MapSpec(tripling, 2, 0.3), k=300)
         est = ei_spectral(op, [0.04, 0.02, 0.01])
         assert est.metadata["theta_kl"] == pytest.approx(0.5367, abs=5e-5)
